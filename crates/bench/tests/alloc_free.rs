@@ -150,6 +150,41 @@ fn cmt_bone_simd_variant_adds_no_steady_state_allocations() {
     }
 }
 
+/// Particle advection keeps the zero-allocation steady state: the
+/// lane-batched interpolation runs on the set's own cardinal scratch,
+/// and the cell-grid rebuild reuses the bin buffers, which migration
+/// and the load balancer's element moves grow ahead of time. A
+/// clustered cloud with the load balancer on moves both particles and
+/// whole elements between ranks, so population and owned-element
+/// counts change from step to step.
+#[test]
+fn cmt_bone_particle_advection_allocation_free_at_steady_state() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    let cfg = |steps: usize| Config {
+        particles_per_elem: 64,
+        particle_cluster: Some(0.25),
+        // the one rebalance lands at step 5: inside the differential
+        lb_every: 5,
+        lb_threshold: 1.05,
+        ..bone_cfg(
+            GsMethod::PairwiseExchange,
+            Pipeline::Overlapped,
+            true,
+            steps,
+        )
+    };
+    let long = cmt_bone::run(&cfg(8));
+    let short = cmt_bone::run(&cfg(4));
+    let (a_l, b_l) = region_allocs(&long.profile, cmt_perf::regions::PARTICLE_ADVECT);
+    let (a_s, b_s) = region_allocs(&short.profile, cmt_perf::regions::PARTICLE_ADVECT);
+    let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
+    assert_eq!(
+        (allocs, bytes),
+        (0, 0),
+        "particle_advect: {allocs} allocs / {bytes} bytes per 4 steady-state steps"
+    );
+}
+
 #[test]
 fn nekbone_dssum_regions_allocation_free_at_steady_state() {
     assert!(cmt_perf::alloc::counting(), "counting allocator not active");

@@ -22,6 +22,11 @@
 //!   do vectorize, but `opt` round-trips the output through memory once
 //!   per `m`. Here each 4-output chunk accumulates in a register across
 //!   the whole `m` loop — one store per output instead of `n`.
+//! * [`interp_lanes`] (particle interpolation) lays [`INTERP_LANES`]
+//!   *particles* across the lanes instead of outputs: every particle of
+//!   a batch contracts the same element data against its own cardinal
+//!   weights, so one broadcast nodal value feeds all lanes and each lane
+//!   repeats the scalar tensor-product sequence exactly.
 //!
 //! ## Dispatch
 //!
@@ -42,6 +47,10 @@ use super::opt;
 /// the on-stack transposed-operator buffers would not fit and the
 /// kernels fall back to [`super::opt`]. The paper's range is `N <= 25`.
 pub const MAX_SIMD_N: usize = 32;
+
+/// Particles per [`interp_lanes`] batch: the cardinal weights are laid
+/// out lane-major, `l[i * INTERP_LANES + lane]`.
+pub const INTERP_LANES: usize = 4;
 
 /// The instruction set a simd kernel call runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,7 +149,7 @@ macro_rules! simd_kernel_impls {
     ($isa_mod:ident, $feat:literal, $vec:ty, $lanes:expr,
      $setzero:path, $set1:path, $add:path, $mul:path, $loadu:path, $storeu:path) => {
         pub(super) mod $isa_mod {
-            use super::MAX_SIMD_N;
+            use super::{INTERP_LANES as L, MAX_SIMD_N};
             use core::arch::x86_64::*;
 
             /// Vector width in `f64` lanes.
@@ -428,6 +437,57 @@ macro_rules! simd_kernel_impls {
                     u[ii] = a * u0[ii] + b * u[ii] + cdt * rhs[ii];
                 }
             }
+
+            /// Lane-batched interpolation of three fields of one
+            /// element: lane `l` of `lr`/`ls`/`lt` (`[i * L + l]`) is
+            /// particle `l`, so every lane runs one particle's scalar
+            /// sequence — `s = 0; s += lr_i * u_i` ascending `i`, then
+            /// `acc += (lt_k * ls_j) * s` in `(k, j)` order. One
+            /// broadcast nodal value feeds all `L` lanes.
+            #[target_feature(enable = $feat)]
+            pub(in super::super) fn interp_lanes(
+                n: usize,
+                u: [&[f64]; 3],
+                lr: &[f64],
+                ls: &[f64],
+                lt: &[f64],
+                out: &mut [[f64; L]; 3],
+            ) {
+                /// Vectors per lane batch.
+                const H: usize = L / W;
+                let mut acc = [[$setzero(); H]; 3];
+                for k in 0..n {
+                    for j in 0..n {
+                        let base = (k * n + j) * n;
+                        let rows = [
+                            &u[0][base..base + n],
+                            &u[1][base..base + n],
+                            &u[2][base..base + n],
+                        ];
+                        let mut s = [[$setzero(); H]; 3];
+                        for i in 0..n {
+                            let b = [$set1(rows[0][i]), $set1(rows[1][i]), $set1(rows[2][i])];
+                            for h in 0..H {
+                                let li = ld(lr, i * L + h * W);
+                                for f in 0..3 {
+                                    s[f][h] = $add(s[f][h], $mul(li, b[f]));
+                                }
+                            }
+                        }
+                        for h in 0..H {
+                            let wjk = $mul(ld(lt, k * L + h * W), ld(ls, j * L + h * W));
+                            for f in 0..3 {
+                                acc[f][h] = $add(acc[f][h], $mul(wjk, s[f][h]));
+                            }
+                        }
+                    }
+                }
+                for f in 0..3 {
+                    for h in 0..H {
+                        st(&mut out[f], h * W, acc[f][h]);
+                    }
+                }
+            }
         }
     };
 }
@@ -599,6 +659,89 @@ pub fn rk_stage_update_with(
             for i in 0..u.len() {
                 u[i] = a * u0[i] + b * u[i] + cdt * rhs[i];
             }
+        }
+    }
+}
+
+/// Interpolate three fields of one element at [`INTERP_LANES`]
+/// particles at once, with the process-wide [`active_isa`].
+///
+/// `u[f]` is field `f`'s `n^3` element block; `lr`/`ls`/`lt` hold the
+/// 1D cardinal weights of every particle lane-major
+/// (`lr[i * INTERP_LANES + lane] = l_i(r_lane)`), and `out[f][lane]`
+/// receives the value. Each lane computes exactly the scalar sequence
+/// `acc += (lt[k] * ls[j]) * (sum_i lr[i] * u[k][j][i])`, with both sums
+/// ascending from an explicit zero and no FMA, so every ISA returns the
+/// same bits.
+pub fn interp_lanes(
+    n: usize,
+    u: [&[f64]; 3],
+    lr: &[f64],
+    ls: &[f64],
+    lt: &[f64],
+    out: &mut [[f64; INTERP_LANES]; 3],
+) {
+    interp_lanes_with(active_isa(), n, u, lr, ls, lt, out);
+}
+
+/// [`interp_lanes`] with an explicit ISA.
+pub fn interp_lanes_with(
+    isa: SimdIsa,
+    n: usize,
+    u: [&[f64]; 3],
+    lr: &[f64],
+    ls: &[f64],
+    lt: &[f64],
+    out: &mut [[f64; INTERP_LANES]; 3],
+) {
+    let nl = n * INTERP_LANES;
+    assert!(
+        lr.len() == nl && ls.len() == nl && lt.len() == nl,
+        "cardinal buffers must hold n * INTERP_LANES weights"
+    );
+    assert!(
+        u.iter().all(|f| f.len() == n * n * n),
+        "element blocks must hold n^3 values"
+    );
+    match clamp(isa, n) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx2` implies a successful runtime
+        // `is_x86_feature_detected!("avx2")` (see `deriv_r_with`).
+        SimdIsa::Avx2 => unsafe { avx2::interp_lanes(n, u, lr, ls, lt, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: sse2 is the x86_64 baseline (see `deriv_r_with`).
+        SimdIsa::Sse2 => unsafe { sse2::interp_lanes(n, u, lr, ls, lt, out) },
+        _ => interp_lanes_scalar(n, u, lr, ls, lt, out),
+    }
+}
+
+/// Portable [`interp_lanes`]: the per-lane scalar sequence, one lane at
+/// a time.
+fn interp_lanes_scalar(
+    n: usize,
+    u: [&[f64]; 3],
+    lr: &[f64],
+    ls: &[f64],
+    lt: &[f64],
+    out: &mut [[f64; INTERP_LANES]; 3],
+) {
+    const L: usize = INTERP_LANES;
+    for (data, o) in u.iter().zip(out.iter_mut()) {
+        for (lane, ol) in o.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for k in 0..n {
+                let wk = lt[k * L + lane];
+                for j in 0..n {
+                    let wjk = wk * ls[j * L + lane];
+                    let row = &data[(k * n + j) * n..(k * n + j) * n + n];
+                    let mut s = 0.0;
+                    for (i, ui) in row.iter().enumerate() {
+                        s += lr[i * L + lane] * ui;
+                    }
+                    acc += wjk * s;
+                }
+            }
+            *ol = acc;
         }
     }
 }

@@ -190,7 +190,9 @@ pub const COLLECTIVES: &[&str] = &[
 /// nothing per timestep (`gs_op*` for cmt-bone, `dssum*` via nekbone's
 /// assembled apply, the overlap-window `deriv`/`dealias` kernels), plus
 /// the pooled LB traffic paths (`gather_costs`/`migrate_blocks`) whose
-/// crystal-router frames ride the same buffer pool.
+/// crystal-router frames ride the same buffer pool, and particle
+/// advection (`advect_field`, with its lane-batched `interp_lanes`
+/// kernel) behind the `particle_advect` region.
 ///
 /// `tensor3_apply` (without `_scratch`) is deliberately absent: it is
 /// the documented allocating convenience wrapper; the worker-pooled
@@ -208,6 +210,8 @@ pub const HOT_ROOTS: &[&str] = &[
     "tensor3_apply_scratch_variant",
     "gather_costs",
     "migrate_blocks",
+    "advect_field",
+    "interp_lanes",
 ];
 
 /// Traversal barriers: audited subsystems a hot path may call but whose

@@ -5,7 +5,18 @@
 //! every particle every stage. Barycentric evaluation is numerically
 //! stable at and between nodes and costs `O(N)` per direction plus an
 //! `O(N^3)` contraction.
+//!
+//! Evaluation is lane-batched: [`INTERP_LANES`](LANES) points of one
+//! element share a pass. Their 1D cardinals are laid out lane-major
+//! ([`ElementInterpolator::cardinal_lanes`]) and the contraction runs in
+//! the `simd` tier ([`cmt_core::kernels::simd::interp_lanes`]), where
+//! each vector lane repeats one point's scalar operation sequence, so a
+//! point's value does not depend on the batch it rode in or on the ISA.
+//! The single-point [`ElementInterpolator::eval`] and
+//! [`ElementInterpolator::eval_many`] are one-lane wrappers over the same
+//! path.
 
+use cmt_core::kernels::simd::{self, INTERP_LANES as LANES, MAX_SIMD_N};
 use cmt_core::poly::{barycentric_weights, Basis};
 use cmt_core::Field;
 
@@ -32,89 +43,132 @@ impl ElementInterpolator {
         self.n
     }
 
+    /// Length of the scratch buffer [`ElementInterpolator::eval_lanes`]
+    /// takes: the three directions' lane-major cardinals.
+    pub fn scratch_len(&self) -> usize {
+        3 * self.n * LANES
+    }
+
     /// The 1D Lagrange cardinal values `l_i(x)` at one coordinate.
     pub fn cardinal(&self, x: f64, out: &mut [f64]) {
         assert_eq!(out.len(), self.n, "cardinal buffer length");
+        let mut lanes = [0.0; MAX_SIMD_N * LANES];
+        let mut heap = Vec::new();
+        let buf = lane_buf(&mut lanes, &mut heap, self.n * LANES);
+        self.cardinal_lanes([x; LANES], buf);
+        for (o, l) in out.iter_mut().zip(buf.chunks_exact(LANES)) {
+            *o = l[0];
+        }
+    }
+
+    /// The 1D cardinals of [`LANES`] coordinates, lane-major:
+    /// `out[i * LANES + l] = l_i(x[l])`. Each lane follows the scalar
+    /// barycentric sequence — `w_i = bary_i / (x - x_i)`, `denom` summed
+    /// ascending from zero, `l_i = w_i / denom` — or is the delta at a
+    /// node when `|x - x_i| < 1e-14`.
+    pub fn cardinal_lanes(&self, x: [f64; LANES], out: &mut [f64]) {
+        let n = self.n;
+        assert_eq!(out.len(), n * LANES, "cardinal buffer length");
+        let mut denom = [0.0; LANES];
+        for (i, wi) in out.chunks_exact_mut(LANES).enumerate() {
+            let (b, xi) = (self.bary[i], self.nodes[i]);
+            for l in 0..LANES {
+                let w = b / (x[l] - xi);
+                wi[l] = w;
+                denom[l] += w;
+            }
+        }
+        for wi in out.chunks_exact_mut(LANES) {
+            for l in 0..LANES {
+                wi[l] /= denom[l];
+            }
+        }
         // exact node hit: delta
-        if let Some(hit) = self.nodes.iter().position(|&xn| (xn - x).abs() < 1e-14) {
-            out.fill(0.0);
-            out[hit] = 1.0;
-            return;
+        for l in 0..LANES {
+            if let Some(hit) = self.nodes.iter().position(|&xn| (xn - x[l]).abs() < 1e-14) {
+                for i in 0..n {
+                    out[i * LANES + l] = if i == hit { 1.0 } else { 0.0 };
+                }
+            }
         }
-        let mut denom = 0.0;
-        for i in 0..self.n {
-            let w = self.bary[i] / (x - self.nodes[i]);
-            out[i] = w;
-            denom += w;
+    }
+
+    /// Evaluate three element blocks (`u[f]`, each `n^3` values) at
+    /// [`LANES`] reference points at once: `out[f][l]` is field `f` at
+    /// `rst[l]`. `scratch` holds [`ElementInterpolator::scratch_len`]
+    /// values; nothing is allocated.
+    pub fn eval_lanes(
+        &self,
+        u: [&[f64]; 3],
+        rst: &[[f64; 3]; LANES],
+        scratch: &mut [f64],
+    ) -> [[f64; LANES]; 3] {
+        self.cardinals3(rst, scratch);
+        self.contract(u, scratch)
+    }
+
+    /// Fill `scratch` with the lane-major `r`, `s`, `t` cardinals.
+    fn cardinals3(&self, rst: &[[f64; 3]; LANES], scratch: &mut [f64]) {
+        assert_eq!(scratch.len(), self.scratch_len(), "scratch length");
+        for (d, buf) in scratch.chunks_exact_mut(self.n * LANES).enumerate() {
+            self.cardinal_lanes(rst.map(|p| p[d]), buf);
         }
-        for v in out.iter_mut() {
-            *v /= denom;
-        }
+    }
+
+    /// Contract three element blocks against the cardinals in `scratch`.
+    fn contract(&self, u: [&[f64]; 3], scratch: &[f64]) -> [[f64; LANES]; 3] {
+        let nl = self.n * LANES;
+        let mut out = [[0.0; LANES]; 3];
+        simd::interp_lanes(
+            self.n,
+            u,
+            &scratch[..nl],
+            &scratch[nl..2 * nl],
+            &scratch[2 * nl..],
+            &mut out,
+        );
+        out
     }
 
     /// Evaluate `field` in element `e` at reference coordinates
     /// `(r, s, t)` (each in `[-1, 1]`).
     pub fn eval(&self, field: &Field, e: usize, rst: [f64; 3]) -> f64 {
-        assert_eq!(field.n(), self.n, "field order mismatch");
-        let n = self.n;
-        let mut lr = vec![0.0; n];
-        let mut ls = vec![0.0; n];
-        let mut lt = vec![0.0; n];
-        self.cardinal(rst[0], &mut lr);
-        self.cardinal(rst[1], &mut ls);
-        self.cardinal(rst[2], &mut lt);
-        let data = field.element(e);
-        let mut acc = 0.0;
-        for k in 0..n {
-            let wk = lt[k];
-            if wk == 0.0 {
-                continue;
-            }
-            for j in 0..n {
-                let wjk = wk * ls[j];
-                if wjk == 0.0 {
-                    continue;
-                }
-                let row = &data[(k * n + j) * n..(k * n + j) * n + n];
-                let mut s = 0.0;
-                for (li, ui) in lr.iter().zip(row) {
-                    s += li * ui;
-                }
-                acc += wjk * s;
-            }
-        }
-        acc
+        let mut out = [0.0];
+        self.eval_many(&[field], e, rst, &mut out);
+        out[0]
     }
 
     /// Evaluate several fields at once (shared cardinal evaluation) —
-    /// the velocity-vector case.
+    /// the velocity-vector case. One lane of the batched path; fields go
+    /// through the three-field contraction in groups of three.
     pub fn eval_many(&self, fields: &[&Field], e: usize, rst: [f64; 3], out: &mut [f64]) {
         assert_eq!(fields.len(), out.len(), "output length mismatch");
-        let n = self.n;
-        let mut lr = vec![0.0; n];
-        let mut ls = vec![0.0; n];
-        let mut lt = vec![0.0; n];
-        self.cardinal(rst[0], &mut lr);
-        self.cardinal(rst[1], &mut ls);
-        self.cardinal(rst[2], &mut lt);
-        for (f, o) in fields.iter().zip(out.iter_mut()) {
-            assert_eq!(f.n(), self.n, "field order mismatch");
-            let data = f.element(e);
-            let mut acc = 0.0;
-            for k in 0..n {
-                let wk = lt[k];
-                for j in 0..n {
-                    let wjk = wk * ls[j];
-                    let row = &data[(k * n + j) * n..(k * n + j) * n + n];
-                    let mut s = 0.0;
-                    for (li, ui) in lr.iter().zip(row) {
-                        s += li * ui;
-                    }
-                    acc += wjk * s;
-                }
+        let mut lanes = [0.0; 3 * MAX_SIMD_N * LANES];
+        let mut heap = Vec::new();
+        let scratch = lane_buf(&mut lanes, &mut heap, self.scratch_len());
+        self.cardinals3(&[rst; LANES], scratch);
+        for (fs, os) in fields.chunks(3).zip(out.chunks_mut(3)) {
+            for f in fs {
+                assert_eq!(f.n(), self.n, "field order mismatch");
             }
-            *o = acc;
+            // a short group repeats its first field; those results are dropped
+            let pick = |c: usize| fs.get(c).unwrap_or(&fs[0]).element(e);
+            let v = self.contract([pick(0), pick(1), pick(2)], scratch);
+            for (o, vc) in os.iter_mut().zip(v) {
+                *o = vc[0];
+            }
         }
+    }
+}
+
+/// A `len`-value scratch slice: on the stack up to the vector tier's
+/// order limit, on the heap beyond it.
+fn lane_buf<'a>(stack: &'a mut [f64], heap: &'a mut Vec<f64>, len: usize) -> &'a mut [f64] {
+    if len <= stack.len() {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0.0);
+        heap
     }
 }
 

@@ -8,11 +8,14 @@
 //! an O(1) arithmetic-plus-vector-index lookup — no search, no hash.
 //! Particles are kept grouped by home element in a counting-sort cell
 //! grid ([`ParticleSet::ensure_bins`]): advection walks one element's
-//! residents at a time (one basis/element setup per *element* instead of
-//! per particle), the load monitor reads per-element populations
-//! directly off the bin offsets, and element migration drains a whole
-//! element's residents as one contiguous slice.
+//! residents at a time, [`INTERP_LANES`](LANES) particles per
+//! interpolation pass (one element setup per *element* instead of per
+//! particle), the load monitor reads per-element populations directly
+//! off the bin offsets, and element migration drains a whole element's
+//! residents as one contiguous slice. The bin and lane buffers are owned by the set and
+//! reused, so a steady-state advection step allocates nothing.
 
+use cmt_core::kernels::simd::INTERP_LANES as LANES;
 use cmt_core::poly::Basis;
 use cmt_core::Field;
 use cmt_mesh::{ElemPartition, RankMesh};
@@ -52,6 +55,32 @@ pub struct ParticleSet {
     /// `s`'s residents.
     offsets: Vec<u32>,
     binned: bool,
+    /// Reused [`ParticleSet::ensure_bins`] buffers: each particle's home
+    /// slot (then its destination index) and the counting sort's
+    /// per-slot cursor.
+    homes: Vec<u32>,
+    cursor: Vec<u32>,
+    /// Lane-major cardinal scratch for [`ElementInterpolator::eval_lanes`].
+    lanes: Vec<f64>,
+}
+
+/// Wrap a position into the periodic box of extents `lengths`.
+fn wrap_in(lengths: [f64; 3], pos: [f64; 3]) -> [f64; 3] {
+    let mut out = pos;
+    for d in 0..3 {
+        out[d] = out[d].rem_euclid(lengths[d]);
+    }
+    out
+}
+
+/// Reference coordinates of `pos` in the unit element whose low corner
+/// is `corner` (outside `[-1, 1]` when `pos` has left the element).
+fn ref_coords(pos: [f64; 3], corner: [f64; 3]) -> [f64; 3] {
+    [
+        2.0 * (pos[0] - corner[0]) - 1.0,
+        2.0 * (pos[1] - corner[1]) - 1.0,
+        2.0 * (pos[2] - corner[2]) - 1.0,
+    ]
 }
 
 impl ParticleSet {
@@ -61,16 +90,32 @@ impl ParticleSet {
         assert_eq!(mesh.config().n, basis.n, "basis order must match mesh");
         let ge = mesh.config().global_elems();
         let part = ElemPartition::initial(mesh.config());
+        let interp = ElementInterpolator::new(basis);
         ParticleSet {
-            interp: ElementInterpolator::new(basis),
+            lanes: vec![0.0; interp.scratch_len()],
+            interp,
             nodes_n: basis.n,
             lengths: [ge[0] as f64, ge[1] as f64, ge[2] as f64],
             particles: Vec::new(),
             part,
             offsets: Vec::new(),
             binned: false,
+            homes: Vec::new(),
+            cursor: Vec::new(),
             mesh,
         }
+    }
+
+    /// Mark the bins stale after the population or the partition
+    /// changed, and grow the bin buffers to the new sizes now, so that
+    /// the rebuild inside [`ParticleSet::advect_field`] never allocates.
+    fn invalidate_bins(&mut self) {
+        self.binned = false;
+        let len = self.particles.len();
+        let nel = self.owned_elems().len();
+        reserve_to(&mut self.homes, len);
+        reserve_to(&mut self.offsets, nel + 1);
+        reserve_to(&mut self.cursor, nel);
     }
 
     /// Number of particles currently on this rank.
@@ -111,7 +156,7 @@ impl ParticleSet {
     pub fn set_partition(&mut self, part: ElemPartition) {
         assert_eq!(part.total_elems(), self.mesh.config().total_elems());
         self.part = part;
-        self.binned = false;
+        self.invalidate_bins();
     }
 
     /// Deterministically seed `per_elem` particles in each owned element
@@ -159,7 +204,7 @@ impl ParticleSet {
                 });
             }
         }
-        self.binned = false;
+        self.invalidate_bins();
     }
 
     /// Insert one particle (must land in an element this rank owns; use
@@ -169,19 +214,10 @@ impl ParticleSet {
         self.binned = false;
     }
 
-    /// Wrap a position into the periodic box.
-    fn wrap(&self, pos: [f64; 3]) -> [f64; 3] {
-        let mut out = pos;
-        for d in 0..3 {
-            out[d] = out[d].rem_euclid(self.lengths[d]);
-        }
-        out
-    }
-
     /// Global id of the element containing a (wrapped) position — pure
     /// O(1) Cartesian arithmetic.
     fn cell_of(&self, pos: [f64; 3]) -> usize {
-        let p = self.wrap(pos);
+        let p = wrap_in(self.lengths, pos);
         let ge = self.mesh.config().global_elems();
         let mut gc = [0usize; 3];
         for d in 0..3 {
@@ -195,7 +231,7 @@ impl ParticleSet {
     /// ascending-gid element order — for the initial Cartesian partition
     /// this is exactly the classical `RankMesh` local element index.
     pub fn locate(&self, pos: [f64; 3]) -> (usize, usize, [f64; 3]) {
-        let p = self.wrap(pos);
+        let p = wrap_in(self.lengths, pos);
         let ge = self.mesh.config().global_elems();
         let mut gc = [0usize; 3];
         let mut rst = [0.0; 3];
@@ -209,8 +245,11 @@ impl ParticleSet {
     }
 
     /// (Re)build the cell-grid bins: group `self.particles` by home
-    /// element via a stable counting sort. O(particles + owned elements);
-    /// a no-op when the grouping is already fresh.
+    /// element via a stable counting sort, applied in place.
+    /// O(particles + owned elements); a no-op when the grouping is
+    /// already fresh. Reuses the set's bin buffers, which every mutator of
+    /// the population or the partition grows in advance, so the rebuild
+    /// itself does not allocate.
     ///
     /// # Panics
     /// Panics if a particle is not on this rank (migration was skipped).
@@ -220,42 +259,42 @@ impl ParticleSet {
         }
         let nel = self.owned_elems().len();
         let my_rank = self.mesh.rank();
-        let homes: Vec<u32> = self
-            .particles
-            .iter()
-            .map(|p| {
-                let gid = self.cell_of(p.pos);
-                let (rank, slot) = self.part.slot_of(gid);
-                assert_eq!(
-                    rank, my_rank,
-                    "particle {} at {:?} is not local; migrate() first",
-                    p.id, p.pos
-                );
-                slot as u32
-            })
-            .collect();
-        let mut offsets = vec![0u32; nel + 1];
-        for &h in &homes {
-            offsets[h as usize + 1] += 1;
+        self.homes.clear();
+        for p in &self.particles {
+            let gid = self.cell_of(p.pos);
+            let (rank, slot) = self.part.slot_of(gid);
+            assert_eq!(
+                rank, my_rank,
+                "particle {} at {:?} is not local; migrate() first",
+                p.id, p.pos
+            );
+            self.homes.push(slot as u32);
+        }
+        self.offsets.clear();
+        self.offsets.resize(nel + 1, 0);
+        for &h in &self.homes {
+            self.offsets[h as usize + 1] += 1;
         }
         for s in 1..=nel {
-            offsets[s] += offsets[s - 1];
+            self.offsets[s] += self.offsets[s - 1];
         }
-        let mut cursor: Vec<u32> = offsets[..nel].to_vec();
-        let mut grouped = vec![
-            Particle {
-                id: 0,
-                pos: [0.0; 3]
-            };
-            self.particles.len()
-        ];
-        for (p, &h) in self.particles.iter().zip(&homes) {
-            let c = &mut cursor[h as usize];
-            grouped[*c as usize] = *p;
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.offsets[..nel]);
+        // home slot -> destination index (stable within each slot)
+        for h in &mut self.homes {
+            let c = &mut self.cursor[*h as usize];
+            *h = *c;
             *c += 1;
         }
-        self.particles = grouped;
-        self.offsets = offsets;
+        // apply the permutation by following its cycles: every swap puts
+        // one particle at its final index
+        for i in 0..self.particles.len() {
+            while self.homes[i] as usize != i {
+                let d = self.homes[i] as usize;
+                self.particles.swap(i, d);
+                self.homes.swap(i, d);
+            }
+        }
         self.binned = true;
     }
 
@@ -279,7 +318,7 @@ impl ParticleSet {
     /// Replace the resident population wholesale (checkpoint restore).
     pub fn set_particles(&mut self, particles: Vec<Particle>) {
         self.particles = particles;
-        self.binned = false;
+        self.invalidate_bins();
     }
 
     /// Remove and return the residents of every owned element for which
@@ -303,7 +342,7 @@ impl ParticleSet {
             }
         }
         self.particles = keep;
-        self.binned = false;
+        self.invalidate_bins();
         gone
     }
 
@@ -323,9 +362,8 @@ impl ParticleSet {
                 p.pos[2] + dt * v2[2],
             ];
         }
-        let wrap_all: Vec<[f64; 3]> = self.particles.iter().map(|p| self.wrap(p.pos)).collect();
-        for (p, w) in self.particles.iter_mut().zip(wrap_all) {
-            p.pos = w;
+        for p in &mut self.particles {
+            p.pos = wrap_in(self.lengths, p.pos);
         }
         self.binned = false;
     }
@@ -333,6 +371,14 @@ impl ParticleSet {
     /// RK2 advection with the velocity interpolated from the carrier
     /// fields resident on this rank, walking the cell grid one element at
     /// a time (bins are rebuilt first if stale).
+    ///
+    /// Each element's residents advance in groups of
+    /// [`INTERP_LANES`](LANES): both
+    /// stage evaluations of a group share one interpolation pass. A short
+    /// last group is padded with copies of its first particle, whose
+    /// results are discarded; every lane computes exactly the scalar
+    /// single-particle sequence, so a particle's path does not depend on
+    /// its group.
     ///
     /// Both stage evaluations use the element the particle started the
     /// step in: a midpoint that has just crossed an element face is
@@ -354,44 +400,45 @@ impl ParticleSet {
             );
         }
         self.ensure_bins();
-        for slot in 0..self.owned_elems().len() {
+        let cfg = self.mesh.config();
+        let owned = self.part.owned_by(self.mesh.rank());
+        for (slot, &gid) in owned.iter().enumerate() {
             let range = self.offsets[slot] as usize..self.offsets[slot + 1] as usize;
             if range.is_empty() {
                 continue;
             }
-            let gc = self.mesh.config().elem_coords(self.owned_elems()[slot]);
+            let gc = cfg.elem_coords(gid);
             let corner = [gc[0] as f64, gc[1] as f64, gc[2] as f64];
-            for idx in range {
-                let p = self.particles[idx];
-                let rst = [
-                    2.0 * (p.pos[0] - corner[0]) - 1.0,
-                    2.0 * (p.pos[1] - corner[1]) - 1.0,
-                    2.0 * (p.pos[2] - corner[2]) - 1.0,
-                ];
-                let mut v1 = [0.0; 3];
-                self.interp
-                    .eval_many(&[vel[0], vel[1], vel[2]], slot, rst, &mut v1);
-                let mid = [
-                    p.pos[0] + 0.5 * dt * v1[0],
-                    p.pos[1] + 0.5 * dt * v1[1],
-                    p.pos[2] + 0.5 * dt * v1[2],
-                ];
+            let u = [
+                vel[0].element(slot),
+                vel[1].element(slot),
+                vel[2].element(slot),
+            ];
+            for group in self.particles[range].chunks_mut(LANES) {
+                let mut pos = [group[0].pos; LANES];
+                for (pl, p) in pos.iter_mut().zip(group.iter()) {
+                    *pl = p.pos;
+                }
+                let rst = pos.map(|p| ref_coords(p, corner));
+                let v1 = self.interp.eval_lanes(u, &rst, &mut self.lanes);
+                let mut mid = pos;
+                for (l, m) in mid.iter_mut().enumerate() {
+                    for d in 0..3 {
+                        m[d] = pos[l][d] + 0.5 * dt * v1[d][l];
+                    }
+                }
                 // midpoint reference coords w.r.t. the *same* element
                 // (may extrapolate slightly past +-1)
-                let mid_rst = [
-                    2.0 * (mid[0] - corner[0]) - 1.0,
-                    2.0 * (mid[1] - corner[1]) - 1.0,
-                    2.0 * (mid[2] - corner[2]) - 1.0,
-                ];
-                let mut v2 = [0.0; 3];
-                self.interp
-                    .eval_many(&[vel[0], vel[1], vel[2]], slot, mid_rst, &mut v2);
-                let moved = [
-                    p.pos[0] + dt * v2[0],
-                    p.pos[1] + dt * v2[1],
-                    p.pos[2] + dt * v2[2],
-                ];
-                self.particles[idx].pos = self.wrap(moved);
+                let mid_rst = mid.map(|p| ref_coords(p, corner));
+                let v2 = self.interp.eval_lanes(u, &mid_rst, &mut self.lanes);
+                for (l, p) in group.iter_mut().enumerate() {
+                    let moved = [
+                        pos[l][0] + dt * v2[0][l],
+                        pos[l][1] + dt * v2[1][l],
+                        pos[l][2] + dt * v2[2][l],
+                    ];
+                    p.pos = wrap_in(self.lengths, moved);
+                }
             }
         }
         self.binned = false;
@@ -409,21 +456,20 @@ impl ParticleSet {
         let my_rank = self.mesh.rank();
         debug_assert_eq!(my_rank, rank.rank(), "mesh/world rank mismatch");
         let p = self.part.ranks();
-        let mut keep = Vec::with_capacity(self.particles.len());
         let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); p];
-        let local: Vec<Particle> = std::mem::take(&mut self.particles);
-        for prt in local {
+        // filter in place: stayers keep their buffer and their order
+        let mut keep = std::mem::take(&mut self.particles);
+        keep.retain(|prt| {
             let owner = self.part.owner_of(self.cell_of(prt.pos));
-            if owner == my_rank {
-                keep.push(prt);
-            } else {
+            if owner != my_rank {
                 // wire format: 4 f64 per particle [id, x, y, z] — ids fit
                 // f64 exactly up to 2^53, far beyond any population here
                 let b = &mut buckets[owner];
                 b.push(prt.id as f64);
                 b.extend_from_slice(&prt.pos);
             }
-        }
+            owner == my_rank
+        });
         let mut sent = 0;
         let outgoing: Vec<(usize, Vec<f64>)> = buckets
             .into_iter()
@@ -448,10 +494,15 @@ impl ParticleSet {
                 });
             }
         }
-        // deterministic ordering regardless of arrival interleaving
-        keep.sort_by_key(|p| p.id);
+        // deterministic ordering regardless of arrival interleaving; ids
+        // are unique, so the unstable sort yields the one sorted order
+        keep.sort_unstable_by_key(|p| p.id);
+        debug_assert!(
+            keep.windows(2).all(|w| w[0].id < w[1].id),
+            "particle ids must be unique"
+        );
         self.particles = keep;
-        self.binned = false;
+        self.invalidate_bins();
         MigrationStats { sent, received }
     }
 
@@ -459,6 +510,11 @@ impl ParticleSet {
     pub fn global_count(&self, rank: &mut Rank) -> u64 {
         rank.allreduce_u64(&[self.particles.len() as u64], simmpi::ReduceOp::Sum)[0]
     }
+}
+
+/// Grow `v`'s capacity to at least `cap` elements.
+fn reserve_to<T>(v: &mut Vec<T>, cap: usize) {
+    v.reserve_exact(cap.saturating_sub(v.len()));
 }
 
 #[cfg(test)]
