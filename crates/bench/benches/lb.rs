@@ -21,7 +21,8 @@
 //! * default — measure, print the table, and write `BENCH_lb.json` at
 //!   the repo root (the committed CI baseline).
 //! * `--check` — measure and gate: fail if the state hash moves, no
-//!   rebalance fires, or the LB-on critical path exceeds 0.85x LB-off.
+//!   rebalance fires, or the median over pairs of the LB-on / LB-off
+//!   critical-path ratio exceeds 0.85.
 //! * `--test` — smoke mode: one tiny run per side, no file writes.
 
 use std::time::Instant;
@@ -49,10 +50,15 @@ fn base_cfg(lb: bool, steps: usize) -> Config {
     }
 }
 
+/// Interleaved off/on run pairs per measurement. The gate compares
+/// the median of the per-pair ratios, so one host-load burst during a
+/// single run of a few milliseconds cannot decide it.
+const PAIRS: usize = 5;
+
 struct Side {
     wall_s: f64,
-    /// Slowest rank's compute self time (min over reps) — the parallel
-    /// critical path the gate compares.
+    /// Slowest rank's compute self time — the parallel critical path
+    /// the gate compares.
     critical_s: f64,
     /// Straggler signature: slowest rank compute over mean rank compute.
     spread: f64,
@@ -61,29 +67,61 @@ struct Side {
     state_hash: u64,
 }
 
-/// Measure one side: process wall and compute critical path, each as the
-/// min over `reps` full runs.
-fn measure(lb: bool, reps: usize) -> Side {
-    let cfg = base_cfg(lb, 12);
-    let mut wall_s = f64::INFINITY;
-    let mut critical_s = f64::INFINITY;
-    let mut rep = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let r = cmt_bone::run(&cfg);
-        wall_s = wall_s.min(t.elapsed().as_secs_f64());
-        critical_s = critical_s.min(r.compute_critical_path_s());
-        rep = Some(r);
+/// One full run of one side.
+fn run_side(lb: bool) -> Side {
+    let t = Instant::now();
+    let r = cmt_bone::run(&base_cfg(lb, 12));
+    Side {
+        wall_s: t.elapsed().as_secs_f64(),
+        critical_s: r.compute_critical_path_s(),
+        spread: r.compute_spread(),
+        rebalances: r.lb.map(|l| l.rebalances).unwrap_or(0),
+        peak_imbalance: r.lb.map(|l| l.peak_imbalance).unwrap_or(0.0),
+        state_hash: r.state_hash,
     }
-    let rep = rep.expect("reps > 0");
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// One side's runs folded into its report row: median wall and critical
+/// path; the deterministic fields (hash, rebalances, imbalance) and the
+/// spread from the last run.
+fn fold(runs: Vec<Side>) -> Side {
+    let wall_s = median(runs.iter().map(|s| s.wall_s).collect());
+    let critical_s = median(runs.iter().map(|s| s.critical_s).collect());
+    let last = runs.into_iter().last().expect("PAIRS > 0");
     Side {
         wall_s,
         critical_s,
-        spread: rep.compute_spread(),
-        rebalances: rep.lb.map(|l| l.rebalances).unwrap_or(0),
-        peak_imbalance: rep.lb.map(|l| l.peak_imbalance).unwrap_or(0.0),
-        state_hash: rep.state_hash,
+        ..last
     }
+}
+
+/// Run `PAIRS` off/on pairs, alternating which side goes first, and
+/// return both folded sides with the median per-pair critical-path
+/// ratio (on / off).
+fn measure() -> (Side, Side, f64) {
+    let mut offs = Vec::with_capacity(PAIRS);
+    let mut ons = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            offs.push(run_side(false));
+            ons.push(run_side(true));
+        } else {
+            ons.push(run_side(true));
+            offs.push(run_side(false));
+        }
+    }
+    let ratio = median(
+        offs.iter()
+            .zip(&ons)
+            .map(|(off, on)| on.critical_s / off.critical_s)
+            .collect(),
+    );
+    (fold(offs), fold(ons), ratio)
 }
 
 fn json_path() -> std::path::PathBuf {
@@ -101,7 +139,7 @@ fn json_f64(text: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-fn render_json(off: &Side, on: &Side) -> String {
+fn render_json(off: &Side, on: &Side, ratio: f64) -> String {
     let side = |s: &Side| {
         format!(
             "{{\"wall_s\": {:.6}, \"critical_s\": {:.6}, \"spread\": {:.6}, \
@@ -117,12 +155,12 @@ fn render_json(off: &Side, on: &Side) -> String {
          \"lb_off\": {},\n  \"lb_on\": {},\n  \"critical_ratio\": {:.6}\n}}\n",
         side(off),
         side(on),
-        on.critical_s / off.critical_s,
+        ratio,
     )
 }
 
-fn print_table(off: &Side, on: &Side) {
-    println!("suite lb (clustered particle cloud, balancer off vs on)");
+fn print_table(off: &Side, on: &Side, ratio: f64) {
+    println!("suite lb (clustered particle cloud, balancer off vs on, medians of {PAIRS} pairs)");
     println!(
         "{:<8} {:>10} {:>13} {:>14} {:>11} {:>15} {:>18}",
         "side",
@@ -146,8 +184,8 @@ fn print_table(off: &Side, on: &Side) {
         );
     }
     println!(
-        "critical path ratio (on / off): {:.3}   process wall ratio: {:.3}",
-        on.critical_s / off.critical_s,
+        "critical path ratio (median of per-pair on / off): {:.3}   process wall ratio: {:.3}",
+        ratio,
         on.wall_s / off.wall_s
     );
 }
@@ -174,10 +212,8 @@ fn main() {
         return;
     }
 
-    let reps = if check { 5 } else { 3 };
-    let off = measure(false, reps);
-    let on = measure(true, reps);
-    print_table(&off, &on);
+    let (off, on, ratio) = measure();
+    print_table(&off, &on, ratio);
 
     if check {
         let mut failed = false;
@@ -192,7 +228,6 @@ fn main() {
             eprintln!("FAIL: clustered cloud never triggered a rebalance");
             failed = true;
         }
-        let ratio = on.critical_s / off.critical_s;
         // The acceptance gate: shedding the clustered cloud's elements
         // must buy at least 15% of the slowest rank's compute time.
         if ratio > 0.85 {
@@ -212,7 +247,7 @@ fn main() {
         println!("lb check passed");
     } else {
         let path = json_path();
-        std::fs::write(&path, render_json(&off, &on))
+        std::fs::write(&path, render_json(&off, &on, ratio))
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         println!("wrote {}", path.display());
     }

@@ -115,6 +115,40 @@ fn cmt_bone_worker_pool_adds_no_steady_state_allocations() {
     }
 }
 
+/// Without a worker pool the dealias round trip runs on the block's own
+/// contraction scratch, in both the blocking and the overlapped
+/// schedule, for the scalar and the simd tiers alike.
+#[test]
+fn cmt_bone_serial_dealias_allocation_free_at_steady_state() {
+    assert!(cmt_perf::alloc::counting(), "counting allocator not active");
+    for pipeline in [Pipeline::Overlapped, Pipeline::Blocking] {
+        for variant in [
+            cmt_core::KernelVariant::Optimized,
+            cmt_core::KernelVariant::Simd,
+        ] {
+            let cfg = |steps: usize| Config {
+                variant,
+                workers: 1,
+                dealias_m: Some(8),
+                ..bone_cfg(GsMethod::PairwiseExchange, pipeline, true, steps)
+            };
+            let long = cmt_bone::run(&cfg(6));
+            let short = cmt_bone::run(&cfg(2));
+            let (a_l, b_l) = region_allocs(&long.profile, "dealias");
+            let (a_s, b_s) = region_allocs(&short.profile, "dealias");
+            let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
+            assert_eq!(
+                (allocs, bytes),
+                (0, 0),
+                "{}/{}: dealias made {allocs} allocs / {bytes} bytes per 4 \
+                 steady-state steps with one worker",
+                pipeline.name(),
+                variant.name()
+            );
+        }
+    }
+}
+
 /// The simd kernel tier keeps the zero-allocation steady state: vector
 /// dispatch uses stack scratch only (the transposed-D buffer lives on
 /// the stack, dealias reuses the caller's scratch), so the compute

@@ -5,7 +5,7 @@ use std::f64::consts::PI;
 use std::time::Instant;
 
 use cmt_core::face::{self, Face};
-use cmt_core::kernels::autotune::{time_candidates, KernelAutotuneOptions, KernelAutotuneReport};
+use cmt_core::kernels::autotune::{self as kernel_autotune, KernelAutotuneReport};
 use cmt_core::kernels::{self, DerivDir};
 use cmt_core::ops::{
     advect_volume_rhs, advect_volume_rhs_slices, upwind_face_correction, ElementGeom,
@@ -92,63 +92,6 @@ struct RankOutput {
 // ---- wire codecs -----------------------------------------------------
 // The socket transport ships each rank's measurement set back to the
 // launcher as bytes, so everything in `RankOutput` needs a wire form.
-// `KernelVariant` and the kernel-autotune report live in `cmt-core`,
-// which does not depend on `simmpi` — the orphan rule keeps us from
-// implementing `WireCodec` for them there, so they are encoded
-// field-by-field with local helpers instead.
-
-fn encode_variant(v: cmt_core::KernelVariant, buf: &mut Vec<u8>) {
-    let idx = cmt_core::KernelVariant::ALL
-        .iter()
-        .position(|&m| m == v)
-        .expect("variant in ALL") as u8;
-    idx.encode(buf);
-}
-
-fn decode_variant(r: &mut WireReader<'_>) -> Result<cmt_core::KernelVariant, WireError> {
-    let idx = u8::decode(r)? as usize;
-    cmt_core::KernelVariant::ALL
-        .get(idx)
-        .copied()
-        .ok_or(WireError::Malformed("unknown kernel variant"))
-}
-
-fn encode_kernel_tune(t: &KernelAutotuneReport, buf: &mut Vec<u8>) {
-    encode_variant(t.chosen.variant, buf);
-    t.chosen.grain.encode(buf);
-    encode_variant(t.effective, buf);
-    t.timings.len().encode(buf);
-    for timing in &t.timings {
-        encode_variant(timing.candidate.variant, buf);
-        timing.candidate.grain.encode(buf);
-        timing.avg_s.encode(buf);
-    }
-}
-
-fn decode_kernel_tune(r: &mut WireReader<'_>) -> Result<KernelAutotuneReport, WireError> {
-    use cmt_core::kernels::autotune::{KernelCandidate, KernelTiming};
-    let chosen = KernelCandidate {
-        variant: decode_variant(r)?,
-        grain: usize::decode(r)?,
-    };
-    let effective = decode_variant(r)?;
-    let n = r.count(17)?;
-    let mut timings = Vec::with_capacity(n);
-    for _ in 0..n {
-        timings.push(KernelTiming {
-            candidate: KernelCandidate {
-                variant: decode_variant(r)?,
-                grain: usize::decode(r)?,
-            },
-            avg_s: f64::decode(r)?,
-        });
-    }
-    Ok(KernelAutotuneReport {
-        chosen,
-        effective,
-        timings,
-    })
-}
 
 impl WireCodec for SolutionDump {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -188,13 +131,7 @@ impl WireCodec for RankOutput {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.profiler.encode(buf);
         self.autotune.encode(buf);
-        match &self.kernel_autotune {
-            None => false.encode(buf),
-            Some(t) => {
-                true.encode(buf);
-                encode_kernel_tune(t, buf);
-            }
-        }
+        self.kernel_autotune.encode(buf);
         self.chosen.encode(buf);
         self.checksum.encode(buf);
         self.elem_gids.encode(buf);
@@ -208,11 +145,7 @@ impl WireCodec for RankOutput {
         Ok(RankOutput {
             profiler: Profiler::decode(r)?,
             autotune: Option::decode(r)?,
-            kernel_autotune: if bool::decode(r)? {
-                Some(decode_kernel_tune(r)?)
-            } else {
-                None
-            },
+            kernel_autotune: Option::decode(r)?,
             chosen: GsMethod::decode(r)?,
             checksum: f64::decode(r)?,
             elem_gids: Vec::decode(r)?,
@@ -579,6 +512,28 @@ fn viscous_pass(
     prof.exit();
 }
 
+/// One dealias round trip over `nel` elements: map `rhs` up to the
+/// `m`-point fine mesh through `up` and back through `down`, in place.
+/// `scratch` holds the contraction pair (at least `2 * max(m,n)^3`
+/// values), so the step loop allocates nothing here.
+#[allow(clippy::too_many_arguments)]
+fn dealias_roundtrip(
+    variant: cmt_core::KernelVariant,
+    m: usize,
+    n: usize,
+    up: &[f64],
+    down: &[f64],
+    rhs: &mut [f64],
+    fine: &mut [f64],
+    nel: usize,
+    scratch: &mut [f64],
+) {
+    let big3 = m.max(n).pow(3);
+    let (t1, t2) = scratch[..2 * big3].split_at_mut(big3);
+    kernels::tensor3_apply_scratch_variant(variant, m, n, up, rhs, fine, nel, t1, t2);
+    kernels::tensor3_apply_scratch_variant(variant, n, m, down, fine, rhs, nel, t1, t2);
+}
+
 /// Everything on a rank that is sized by (and bound to) its current
 /// element set: the solution fields, every scratch buffer, the
 /// gather-scatter plan, and the hybrid-pool chunk geometry. A load
@@ -602,7 +557,10 @@ struct Block {
     dealias_fine: Vec<f64>,
     viscous: Option<ViscousWs>,
     pool_scratch: Vec<f64>,
-    dealias_pool_scratch: Vec<f64>,
+    /// Dealias contraction scratch: one `(t1, t2)` pair of
+    /// `max(m,n)^3` values per pool chunk, or a single pair without a
+    /// pool (empty when dealiasing is off).
+    dealias_scratch: Vec<f64>,
     grain: usize,
     n_chunks: usize,
 }
@@ -660,9 +618,9 @@ fn build_block(
         } else {
             Vec::new()
         },
-        dealias_pool_scratch: match (pool_on, cfg.dealias_m) {
-            (true, Some(m)) => vec![0.0; n_chunks * 2 * m.max(n).pow(3)],
-            _ => Vec::new(),
+        dealias_scratch: match cfg.dealias_m {
+            Some(m) => vec![0.0; if pool_on { n_chunks } else { 1 } * 2 * m.max(n).pow(3)],
+            None => Vec::new(),
         },
         grain,
         n_chunks,
@@ -709,17 +667,9 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
     // Kernel autotune (`--variant auto`): time every variant × chunk
     // grain on this rank's shape, average across ranks (the gs-autotune
     // protocol), and let every rank pick the same winner.
-    let kernel_tune = cfg.kernel_autotune.then(|| {
-        let (cands, local) =
-            time_candidates(n, owned0.len(), &basis.d, KernelAutotuneOptions::default());
-        rank.set_context("kernel_autotune");
-        let avg: Vec<f64> = local
-            .iter()
-            .map(|&t| rank.allreduce_scalar(t, ReduceOp::Sum) / rank.size() as f64)
-            .collect();
-        rank.set_context("main");
-        KernelAutotuneReport::from_avg_times(n, cands, avg)
-    });
+    let kernel_tune = cfg
+        .kernel_autotune
+        .then(|| kernel_autotune::tune(rank, n, owned0.len(), &basis.d));
     prof.exit();
 
     // Effective config: the kernel autotune overrides the requested
@@ -867,7 +817,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
                 dealias_fine,
                 viscous,
                 pool_scratch,
-                dealias_pool_scratch,
+                dealias_scratch,
                 grain,
                 n_chunks,
                 ..
@@ -912,23 +862,16 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
                             // workload)
                             if let Some((m, up, down)) = dealias_ops.as_ref() {
                                 prof.enter(regions::DEALIAS);
-                                kernels::tensor3_apply_variant(
+                                dealias_roundtrip(
                                     cfg.variant,
                                     *m,
                                     n,
                                     up,
-                                    rhs.as_slice(),
-                                    dealias_fine,
-                                    nel,
-                                );
-                                kernels::tensor3_apply_variant(
-                                    cfg.variant,
-                                    n,
-                                    *m,
                                     down,
-                                    dealias_fine,
                                     rhs.as_mut_slice(),
+                                    dealias_fine,
                                     nel,
+                                    dealias_scratch,
                                 );
                                 prof.exit();
                             }
@@ -1068,7 +1011,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
                                     let big3 = m.max(n).pow(3);
                                     let rhs_sh = SharedSliceMut::new(rhs_all[f].as_mut_slice());
                                     let fine_sh = SharedSliceMut::new(&mut fine[..]);
-                                    let t_sh = SharedSliceMut::new(&mut dealias_pool_scratch[..]);
+                                    let t_sh = SharedSliceMut::new(&mut dealias_scratch[..]);
                                     pool.run(n_chunks, &|c| {
                                         let (lo, hi) = chunk_range(nel, grain, c);
                                         let nel_c = hi - lo;
@@ -1079,50 +1022,31 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
                                         let ts = unsafe {
                                             t_sh.range_mut(2 * c * big3, 2 * (c + 1) * big3)
                                         };
-                                        let (t1, t2) = ts.split_at_mut(big3);
-                                        kernels::tensor3_apply_scratch_variant(
+                                        dealias_roundtrip(
                                             cfg.variant,
                                             m,
                                             n,
                                             up,
-                                            rhs_c,
-                                            fine_c,
-                                            nel_c,
-                                            t1,
-                                            t2,
-                                        );
-                                        kernels::tensor3_apply_scratch_variant(
-                                            cfg.variant,
-                                            n,
-                                            m,
                                             down,
-                                            fine_c,
                                             rhs_c,
+                                            fine_c,
                                             nel_c,
-                                            t1,
-                                            t2,
+                                            ts,
                                         );
                                     });
                                     let (wa, wb) = pool.drain_worker_allocs();
                                     prof.charge_allocs(wa, wb);
                                 } else {
-                                    kernels::tensor3_apply_variant(
+                                    dealias_roundtrip(
                                         cfg.variant,
                                         *m,
                                         n,
                                         up,
-                                        rhs_all[f].as_slice(),
-                                        fine,
-                                        nel,
-                                    );
-                                    kernels::tensor3_apply_variant(
-                                        cfg.variant,
-                                        n,
-                                        *m,
                                         down,
-                                        fine,
                                         rhs_all[f].as_mut_slice(),
+                                        fine,
                                         nel,
+                                        dealias_scratch,
                                     );
                                 }
                                 prof.exit();
@@ -1466,11 +1390,6 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         .as_ref()
         .map(|t: &KernelAutotuneReport| t.effective)
         .unwrap_or_else(|| cfg.variant.resolve(cfg.n));
-    let kernel_isa = if kernel_variant == cmt_core::KernelVariant::Simd {
-        cmt_core::kernels::simd::active_isa().name()
-    } else {
-        "-"
-    };
     let report = RunReport {
         mesh_summary: mesh_cfg.summary(),
         mesh: mesh_cfg,
@@ -1478,7 +1397,7 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         autotune: autotune_rep,
         kernel_autotune: kernel_autotune_rep,
         kernel_variant,
-        kernel_isa,
+        kernel_isa: kernel_variant.isa_label(),
         profile: merged.report(),
         comm: MpipReport::from_stats(&result.stats),
         rank_wall_s: rank_wall,

@@ -2,21 +2,24 @@
 //! candidates, pick the winner" protocol applied to compute.
 //!
 //! The gather–scatter layer autotunes its three exchange algorithms at
-//! setup (paper Fig. 7); with five kernel variants and a worker pool
+//! setup (paper Fig. 7); with four kernel variants and a worker pool
 //! whose element-chunk *grain* trades scheduling overhead against
 //! steal-ability, the derivative kernels deserve the same treatment. At
 //! startup each rank times every `(variant, grain)` candidate on its own
-//! `(N, elems)` shape; drivers then average the timings across ranks
-//! (one allreduce, mirroring `cmt-gs::autotune`) and every rank picks the
-//! same winner by minimum average — an SPMD-consistent choice, so worker
-//! counts and rank counts cannot diverge on which kernel runs.
+//! `(N, elems)` shape; [`tune`] then averages the timings across ranks
+//! (one allreduce per candidate, mirroring `cmt-gs::autotune`) and every
+//! rank picks the same winner by minimum average — an SPMD-consistent
+//! choice, so worker counts and rank counts cannot diverge on which
+//! kernel runs.
 //!
-//! This module is MPI-free: [`time_candidates`] produces local timings,
+//! [`time_candidates`] produces local timings and
 //! [`KernelAutotuneReport::from_avg_times`] turns (globally averaged)
-//! timings into the decision, and the drivers own the one allreduce in
-//! between. The *grain* is the number of elements per worker-pool chunk;
-//! it is exercised here by issuing one `deriv` call per grain-sized chunk
-//! exactly as the pooled element loop does.
+//! timings into the decision; [`tune`] is the collective both mini-app
+//! drivers call. The *grain* is the number of elements per worker-pool
+//! chunk; it is exercised here by issuing one `deriv` call per
+//! grain-sized chunk exactly as the pooled element loop does.
+
+use simmpi::{Rank, ReduceOp};
 
 use super::{deriv, DerivDir, KernelVariant};
 
@@ -132,6 +135,22 @@ pub fn time_candidates(
     (cands, avgs)
 }
 
+/// The rank-averaged kernel autotune (`--variant auto`), collective over
+/// every rank of `rank`'s world: time every candidate on this rank's
+/// `(n, nel)` shape, average each timing across ranks with one
+/// `allreduce_scalar` under the `kernel_autotune` mpiP context, and
+/// build the report — identical on every rank.
+pub fn tune(rank: &mut Rank, n: usize, nel: usize, d: &[f64]) -> KernelAutotuneReport {
+    let (cands, local) = time_candidates(n, nel, d, KernelAutotuneOptions::default());
+    rank.set_context("kernel_autotune");
+    let avg: Vec<f64> = local
+        .iter()
+        .map(|&t| rank.allreduce_scalar(t, ReduceOp::Sum) / rank.size() as f64)
+        .collect();
+    rank.set_context("main");
+    KernelAutotuneReport::from_avg_times(n, cands, avg)
+}
+
 impl KernelAutotuneReport {
     /// Build the report from (globally averaged) per-candidate timings.
     ///
@@ -185,7 +204,7 @@ impl KernelAutotuneReport {
         if self.effective == KernelVariant::Simd {
             out.push_str(&format!(
                 "  (effective isa: {})\n",
-                super::simd::active_isa().name()
+                self.effective.isa_label()
             ));
         }
         out
@@ -200,13 +219,13 @@ mod tests {
     #[test]
     fn candidate_grid_covers_variants_and_grains() {
         let c = candidates(8);
-        // grains 1, 2, 4, 8 for each of the 6 variants
-        assert_eq!(c.len(), 6 * 4);
+        // grains 1, 2, 4, 8 for each of the 4 variants
+        assert_eq!(c.len(), 4 * 4);
         for v in KernelVariant::ALL {
             assert!(c.iter().any(|k| k.variant == v && k.grain == 8));
         }
         // single-element rank: one grain only
-        assert_eq!(candidates(1).len(), 6);
+        assert_eq!(candidates(1).len(), 4);
     }
 
     #[test]

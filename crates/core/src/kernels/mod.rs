@@ -25,8 +25,6 @@
 //!   length-`N` inner products (the analogue of Nek's generated `mxm`
 //!   routines), dispatched for the paper's range `N in 5..=25` and a bit
 //!   beyond.
-//! * [`batched`] / [`unroll`] — all-element cache-blocked and
-//!   unroll-and-jam variants (summation-order preserving);
 //! * [`simd`] — hand-written lane-parallel AVX2/SSE2 kernels behind
 //!   runtime CPU-feature dispatch, **bitwise identical** to [`opt`]
 //!   because every lane keeps the scalar accumulation order.
@@ -38,11 +36,10 @@
 
 pub mod autotune;
 pub mod basic;
-pub mod batched;
 pub mod opt;
 pub mod simd;
 pub mod specialized;
-pub mod unroll;
+mod wire;
 
 use crate::field::Field;
 
@@ -81,10 +78,6 @@ pub enum KernelVariant {
     /// Const-generic fully-unrolled inner products (Nek `mxm` analogue);
     /// falls back to [`KernelVariant::Optimized`] for unsupported `n`.
     Specialized,
-    /// All-elements batched, cache-blocked loop orders ([`batched`]).
-    Batched,
-    /// Unroll-and-jam: multiple output streams per input pass ([`unroll`]).
-    UnrollJam,
     /// Hand-written lane-parallel vector kernels with runtime ISA
     /// dispatch ([`simd`]); bitwise identical to [`KernelVariant::Optimized`]
     /// on every ISA (including the scalar fallback).
@@ -92,14 +85,12 @@ pub enum KernelVariant {
 }
 
 impl KernelVariant {
-    /// All variants, baseline first. New variants are appended so the
-    /// `ALL`-index wire encoding of older variants stays stable.
-    pub const ALL: [KernelVariant; 6] = [
+    /// All variants, baseline first. A variant's index here is its wire
+    /// tag, so reordering or removing one needs a wire-version bump.
+    pub const ALL: [KernelVariant; 4] = [
         KernelVariant::Basic,
         KernelVariant::Optimized,
         KernelVariant::Specialized,
-        KernelVariant::Batched,
-        KernelVariant::UnrollJam,
         KernelVariant::Simd,
     ];
 
@@ -109,9 +100,17 @@ impl KernelVariant {
             KernelVariant::Basic => "basic",
             KernelVariant::Optimized => "optimized",
             KernelVariant::Specialized => "specialized",
-            KernelVariant::Batched => "batched",
-            KernelVariant::UnrollJam => "unrolljam",
             KernelVariant::Simd => "simd",
+        }
+    }
+
+    /// The report's `kernel_isa` label: the dispatched
+    /// [`simd::active_isa`] for [`KernelVariant::Simd`], `"-"` for the
+    /// scalar tiers, which have no ISA dispatch.
+    pub fn isa_label(self) -> &'static str {
+        match self {
+            KernelVariant::Simd => simd::active_isa().name(),
+            _ => "-",
         }
     }
 
@@ -181,12 +180,6 @@ pub fn deriv(
         (KernelVariant::Specialized, DerivDir::R) => specialized::deriv_r(n, nel, d, u, out),
         (KernelVariant::Specialized, DerivDir::S) => specialized::deriv_s(n, nel, d, u, out),
         (KernelVariant::Specialized, DerivDir::T) => specialized::deriv_t(n, nel, d, u, out),
-        (KernelVariant::Batched, DerivDir::R) => batched::deriv_r(n, nel, d, u, out),
-        (KernelVariant::Batched, DerivDir::S) => batched::deriv_s(n, nel, d, u, out),
-        (KernelVariant::Batched, DerivDir::T) => batched::deriv_t(n, nel, d, u, out),
-        (KernelVariant::UnrollJam, DerivDir::R) => unroll::deriv_r(n, nel, d, u, out),
-        (KernelVariant::UnrollJam, DerivDir::S) => unroll::deriv_s(n, nel, d, u, out),
-        (KernelVariant::UnrollJam, DerivDir::T) => unroll::deriv_t(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::R) => simd::deriv_r(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::S) => simd::deriv_s(n, nel, d, u, out),
         (KernelVariant::Simd, DerivDir::T) => simd::deriv_t(n, nel, d, u, out),
@@ -320,25 +313,6 @@ pub fn tensor3_apply_scratch(
     }
 }
 
-/// Variant-dispatched form of [`tensor3_apply`] (scratch allocated
-/// internally per call): [`KernelVariant::Simd`] routes through the
-/// vector dealias kernels, every other variant through the scalar
-/// implementation. Results are bitwise identical either way.
-pub fn tensor3_apply_variant(
-    variant: KernelVariant,
-    m: usize,
-    n: usize,
-    j_mat: &[f64],
-    u: &[f64],
-    out: &mut [f64],
-    nel: usize,
-) {
-    let big = m.max(n);
-    let mut t1 = vec![0.0; big * big * big];
-    let mut t2 = vec![0.0; big * big * big];
-    tensor3_apply_scratch_variant(variant, m, n, j_mat, u, out, nel, &mut t1, &mut t2);
-}
-
 /// Variant-dispatched form of [`tensor3_apply_scratch`]: the
 /// [`KernelVariant::Simd`] family routes the dealias contraction through
 /// its vector kernels (bitwise identical to the scalar path); every
@@ -409,8 +383,8 @@ mod tests {
     #[test]
     fn all_variants_match_reference_all_dirs() {
         // The whole dispatch range 2..=25 plus 27 (the Specialized
-        // fallback), so every const instantiation, every jam remainder,
-        // and every tile split is pinned against the reference.
+        // fallback), so every const instantiation and every simd ragged
+        // tail is pinned against the reference.
         for n in (2..=25).chain([27]) {
             let nel = 3;
             let b = Basis::new(n);

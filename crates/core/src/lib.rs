@@ -12,11 +12,12 @@
 //!   matrix-multiplications that compute partial derivatives `du/dr`,
 //!   `du/ds`, `du/dt` of `N x N x N` tensor-product element data against the
 //!   `N x N` spectral differentiation matrix. This is the `ax_`-like hot
-//!   spot of the paper's Fig. 4 and the subject of its Figs. 5-6. Three
+//!   spot of the paper's Fig. 4 and the subject of its Figs. 5-6. Four
 //!   variants are provided: a straightforward [`kernels::basic`]
 //!   implementation, a loop-fused/vectorizing [`kernels::opt`]
-//!   implementation, and const-generic [`kernels::specialized`] versions
-//!   whose inner products the compiler fully unrolls.
+//!   implementation, const-generic [`kernels::specialized`] versions
+//!   whose inner products the compiler fully unrolls, and runtime-
+//!   dispatched [`kernels::simd`] vector kernels bitwise equal to `opt`.
 //! * **Face extraction** ([`face`]): `full2face` / `face2full`, building the
 //!   contiguous surface arrays exchanged with nearest neighbors.
 //! * **Polynomial machinery** ([`poly`]): Legendre-Gauss-Lobatto nodes,

@@ -195,8 +195,9 @@ pub const COLLECTIVES: &[&str] = &[
 /// kernel) behind the `particle_advect` region.
 ///
 /// `tensor3_apply` (without `_scratch`) is deliberately absent: it is
-/// the documented allocating convenience wrapper; the worker-pooled
-/// dealias path calls the `_scratch` form with per-chunk buffers.
+/// the documented allocating convenience wrapper; every dealias path in
+/// the step loop, serial or worker-pooled, calls the `_scratch` form
+/// with block-owned buffers.
 pub const HOT_ROOTS: &[&str] = &[
     "gs_op",
     "gs_op_many",

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use cmt_core::kernels::autotune::{time_candidates, KernelAutotuneOptions, KernelAutotuneReport};
+use cmt_core::kernels::autotune::{self as kernel_autotune, KernelAutotuneReport};
 use cmt_core::{Field, KernelVariant};
 use cmt_gs::{autotune, AutotuneOptions, AutotuneReport, GsHandle, GsMethod};
 use cmt_mesh::{MeshConfig, RankMesh};
@@ -11,7 +11,7 @@ use cmt_perf::{MpipReport, ProfileReport, Profiler};
 use cmt_resilience::{hash, load_checkpoint, Resilience};
 use cmt_verify::Verifier;
 use simmpi::{
-    FaultPlan, NetworkModel, Rank, ReduceOp, TransportKind, WireCodec, WireError, WireReader, World,
+    FaultPlan, NetworkModel, Rank, TransportKind, WireCodec, WireError, WireReader, World,
 };
 use std::sync::Arc;
 
@@ -209,67 +209,9 @@ struct RankOutput {
     wall_s: f64,
 }
 
-// `KernelVariant` and the kernel-autotune report live in `cmt-core`,
-// which does not depend on `simmpi` — the orphan rule keeps us from
-// implementing `WireCodec` for them there, so they are encoded
-// field-by-field with local helpers (as the CMT-bone driver does).
-
-fn encode_variant(v: KernelVariant, buf: &mut Vec<u8>) {
-    let idx = KernelVariant::ALL
-        .iter()
-        .position(|&m| m == v)
-        .expect("variant in ALL") as u8;
-    idx.encode(buf);
-}
-
-fn decode_variant(r: &mut WireReader<'_>) -> Result<KernelVariant, WireError> {
-    let idx = u8::decode(r)? as usize;
-    KernelVariant::ALL
-        .get(idx)
-        .copied()
-        .ok_or(WireError::Malformed("unknown kernel variant"))
-}
-
-fn encode_kernel_tune(t: &KernelAutotuneReport, buf: &mut Vec<u8>) {
-    encode_variant(t.chosen.variant, buf);
-    t.chosen.grain.encode(buf);
-    encode_variant(t.effective, buf);
-    t.timings.len().encode(buf);
-    for timing in &t.timings {
-        encode_variant(timing.candidate.variant, buf);
-        timing.candidate.grain.encode(buf);
-        timing.avg_s.encode(buf);
-    }
-}
-
-fn decode_kernel_tune(r: &mut WireReader<'_>) -> Result<KernelAutotuneReport, WireError> {
-    use cmt_core::kernels::autotune::{KernelCandidate, KernelTiming};
-    let chosen = KernelCandidate {
-        variant: decode_variant(r)?,
-        grain: usize::decode(r)?,
-    };
-    let effective = decode_variant(r)?;
-    let n = r.count(17)?;
-    let mut timings = Vec::with_capacity(n);
-    for _ in 0..n {
-        timings.push(KernelTiming {
-            candidate: KernelCandidate {
-                variant: decode_variant(r)?,
-                grain: usize::decode(r)?,
-            },
-            avg_s: f64::decode(r)?,
-        });
-    }
-    Ok(KernelAutotuneReport {
-        chosen,
-        effective,
-        timings,
-    })
-}
-
 // Wire codecs so the socket transport can ship each rank's measurement
-// set back to the launcher (the `Profiler`, `AutotuneReport` and
-// `GsMethod` codecs live with their own crates).
+// set back to the launcher (the `Profiler`, `AutotuneReport`, `GsMethod`
+// and kernel-autotune codecs live with their own crates).
 
 impl WireCodec for CgStats {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -288,13 +230,7 @@ impl WireCodec for RankOutput {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.profiler.encode(buf);
         self.autotune.encode(buf);
-        match &self.kernel_autotune {
-            None => false.encode(buf),
-            Some(t) => {
-                true.encode(buf);
-                encode_kernel_tune(t, buf);
-            }
-        }
+        self.kernel_autotune.encode(buf);
         self.chosen.encode(buf);
         self.cg.encode(buf);
         self.checksum.encode(buf);
@@ -305,11 +241,7 @@ impl WireCodec for RankOutput {
         Ok(RankOutput {
             profiler: Profiler::decode(r)?,
             autotune: Option::decode(r)?,
-            kernel_autotune: if bool::decode(r)? {
-                Some(decode_kernel_tune(r)?)
-            } else {
-                None
-            },
+            kernel_autotune: Option::decode(r)?,
             chosen: GsMethod::decode(r)?,
             cg: CgStats::decode(r)?,
             checksum: f64::decode(r)?,
@@ -366,19 +298,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
     // for the `ax` kernel.
     let kernel_tune = cfg.kernel_autotune.then(|| {
         let basis = cmt_core::poly::Basis::new(cfg.n);
-        let (cands, local) = time_candidates(
-            cfg.n,
-            mesh.nel(),
-            &basis.d,
-            KernelAutotuneOptions::default(),
-        );
-        rank.set_context("kernel_autotune");
-        let avg: Vec<f64> = local
-            .iter()
-            .map(|&t| rank.allreduce_scalar(t, ReduceOp::Sum) / rank.size() as f64)
-            .collect();
-        rank.set_context("main");
-        KernelAutotuneReport::from_avg_times(cfg.n, cands, avg)
+        kernel_autotune::tune(rank, cfg.n, mesh.nel(), &basis.d)
     });
     prof.exit();
 
@@ -574,11 +494,6 @@ pub fn run(cfg: &Config) -> NekboneReport {
         .as_ref()
         .map(|t| t.effective)
         .unwrap_or_else(|| cfg.variant.resolve(cfg.n));
-    let kernel_isa = if kernel_variant == KernelVariant::Simd {
-        cmt_core::kernels::simd::active_isa().name()
-    } else {
-        "-"
-    };
     NekboneReport {
         mesh_summary: mesh_cfg.summary(),
         mesh: mesh_cfg,
@@ -586,7 +501,7 @@ pub fn run(cfg: &Config) -> NekboneReport {
         autotune: autotune_rep,
         kernel_autotune: kernel_autotune_rep,
         kernel_variant,
-        kernel_isa,
+        kernel_isa: kernel_variant.isa_label(),
         profile: merged.report(),
         comm: MpipReport::from_stats(&result.stats),
         cg: cg.expect("ranks > 0"),

@@ -53,7 +53,7 @@ use crate::verify::LeakInfo;
 /// Frame magic: `"SMPW"` (simmpi wire).
 pub(crate) const MAGIC: u32 = 0x534D_5057;
 /// Wire-format version; bumped on any incompatible layout change.
-pub(crate) const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 2;
 /// Upper bound on one frame body, to reject absurd lengths from a
 /// corrupt or hostile peer before allocating.
 pub(crate) const MAX_FRAME: usize = 1 << 30;

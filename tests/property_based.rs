@@ -39,11 +39,10 @@ fn kernel_variants_agree() {
     }
 }
 
-/// The batched and unroll-and-jam variants preserve the reference
-/// (`optimized`) per-output summation order exactly, and the pooled
-/// element-chunked dispatch writes disjoint ranges — so for the paper's
-/// whole N range and any worker count the result is bitwise identical,
-/// not merely close.
+/// The `simd` tier preserves the reference (`optimized`) per-output
+/// summation order exactly, and the pooled element-chunked dispatch
+/// writes disjoint ranges — so for the paper's whole N range and any
+/// worker count the result is bitwise identical, not merely close.
 #[test]
 fn new_variants_and_pooled_dispatch_are_bitwise_identical() {
     use simmpi::{chunk_count, chunk_range, SharedSliceMut, WorkerPool};
@@ -65,15 +64,9 @@ fn new_variants_and_pooled_dispatch_are_bitwise_identical() {
                 &u,
                 &mut reference,
             );
-            for variant in [
-                KernelVariant::Batched,
-                KernelVariant::UnrollJam,
-                KernelVariant::Simd,
-            ] {
-                let mut out = vec![0.0; u.len()];
-                deriv(variant, dir, n, nel, &basis.d, &u, &mut out);
-                assert_eq!(reference, out, "n={n} {variant:?} {dir:?} not bitwise");
-            }
+            let mut out = vec![0.0; u.len()];
+            deriv(KernelVariant::Simd, dir, n, nel, &basis.d, &u, &mut out);
+            assert_eq!(reference, out, "n={n} simd {dir:?} not bitwise");
             for workers in [1usize, 2, max_workers] {
                 let pool = WorkerPool::new(workers, None);
                 let grain = 2;
@@ -85,7 +78,7 @@ fn new_variants_and_pooled_dispatch_are_bitwise_identical() {
                     // written ranges are disjoint across chunks.
                     let out_c = unsafe { sh.range_mut(lo * n3, hi * n3) };
                     deriv(
-                        KernelVariant::Batched,
+                        KernelVariant::Simd,
                         dir,
                         n,
                         hi - lo,
