@@ -33,7 +33,10 @@ fn base_cfg(pool: bool, steps: usize) -> Config {
         fields: 5,
         method: Some(GsMethod::PairwiseExchange),
         pipeline: Pipeline::Overlapped,
-        pool,
+        runtime: cmt_bone::RuntimeConfig {
+            pool,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
@@ -44,14 +47,14 @@ fn gs_totals(rep: &cmt_bone::RunReport) -> (f64, u64, u64, f64) {
     let mut self_s = 0.0;
     let mut allocs = 0u64;
     let mut bytes = 0u64;
-    for (name, s) in &rep.profile.flat {
+    for (name, s) in &rep.runtime.profile.flat {
         if name.starts_with("gs_op") {
             self_s += s.self_s();
             allocs += s.self_allocs();
             bytes += s.self_alloc_bytes();
         }
     }
-    let total = rep.profile.total_self_s();
+    let total = rep.runtime.profile.total_self_s();
     let share = if total > 0.0 { self_s / total } else { 0.0 };
     (self_s, allocs, bytes, share)
 }
@@ -170,8 +173,9 @@ fn main() {
             "{:>10} {:>14}  region (pooled, per 4 steps)",
             "allocs", "bytes"
         );
-        for (name, s6) in &r6.profile.flat {
+        for (name, s6) in &r6.runtime.profile.flat {
             let (a2, b2) = r2
+                .runtime
                 .profile
                 .flat
                 .iter()

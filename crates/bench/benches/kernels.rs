@@ -48,7 +48,8 @@ fn base_cfg(variant: KernelVariant, workers: usize, steps: usize) -> Config {
 
 /// Self seconds of the flux-divergence derivative regions.
 fn kernel_self_s(rep: &cmt_bone::RunReport) -> f64 {
-    rep.profile
+    rep.runtime
+        .profile
         .flat
         .iter()
         .filter(|(name, _)| name.starts_with("ax_cmt"))
@@ -77,7 +78,7 @@ fn measure(variant: KernelVariant, workers: usize, reps: usize) -> Side {
         rep = Some(r);
     }
     let rep = rep.expect("reps > 0");
-    let total = rep.profile.total_self_s();
+    let total = rep.runtime.profile.total_self_s();
     Side {
         wall_s,
         kernel_self_s: kself,
@@ -98,7 +99,7 @@ fn autotune() -> (String, usize) {
         steps: 1,
         ..base_cfg(KernelVariant::Optimized, 1, 1)
     });
-    let t = rep.kernel_autotune.expect("kernel autotune report");
+    let t = rep.runtime.kernel_autotune.expect("kernel autotune report");
     (t.effective.name().to_string(), t.chosen.grain)
 }
 

@@ -37,7 +37,10 @@ fn base_cfg(transport: TransportKind, steps: usize) -> Config {
         steps,
         fields: 3,
         method: Some(GsMethod::PairwiseExchange),
-        transport,
+        runtime: cmt_bone::RuntimeConfig {
+            transport,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }

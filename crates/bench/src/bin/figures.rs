@@ -49,9 +49,9 @@ fn fig4(full: bool) {
         cfg.ranks, cfg.n, cfg.elems_per_rank, cfg.steps
     );
     let rep = cmt_bone::run(&cfg);
-    println!("{}", rep.profile.render_flat());
-    println!("{}", rep.profile.render_call_graph());
-    let deriv = rep.profile.share("ax_cmt (flux divergence derivs)");
+    println!("{}", rep.runtime.profile.render_flat());
+    println!("{}", rep.runtime.profile.render_call_graph());
+    let deriv = rep.runtime.profile.share("ax_cmt (flux divergence derivs)");
     println!(
         "derivative-kernel share of self time: {:.1}%  (paper: dominant, ~60-70%)",
         100.0 * deriv
@@ -64,7 +64,7 @@ fn fig4(full: bool) {
         "rk_stage_update",
     ]
     .iter()
-    .map(|r| rep.profile.share(r))
+    .map(|r| rep.runtime.profile.share(r))
     .sum();
     if compute > 0.0 {
         println!(
@@ -150,7 +150,11 @@ fn fig7(full: bool) {
     println!("mini-app   | method             |      avg (s) |      min (s) |      max (s)");
     print!(
         "{}",
-        bone.autotune.as_ref().expect("autotuned").table("CMT-bone")
+        bone.runtime
+            .autotune
+            .as_ref()
+            .expect("autotuned")
+            .table("CMT-bone")
     );
     // Nekbone: vertex-conforming dssum exchange
     let nek = nekbone::run(&NekConfig {
@@ -163,12 +167,16 @@ fn fig7(full: bool) {
     });
     print!(
         "{}",
-        nek.autotune.as_ref().expect("autotuned").table("Nekbone")
+        nek.runtime
+            .autotune
+            .as_ref()
+            .expect("autotuned")
+            .table("Nekbone")
     );
     println!(
         "\nchosen: CMT-bone -> {}   Nekbone -> {}",
-        bone.chosen_method.name(),
-        nek.chosen_method.name()
+        bone.runtime.chosen_method.name(),
+        nek.runtime.chosen_method.name()
     );
     println!("paper: CMT-bone pairwise 0.000319s avg vs crystal 0.000800s;");
     println!("       Nekbone pairwise 0.000639s vs crystal 0.000664s; all_reduce too expensive for both\n");
@@ -302,7 +310,7 @@ fn crossover() {
             autotune: tune,
             ..Default::default()
         });
-        let t = rep.autotune.as_ref().expect("autotuned");
+        let t = rep.runtime.autotune.as_ref().expect("autotuned");
         let pw = t.timing(cmt_gs::GsMethod::PairwiseExchange).avg_s;
         let cr = t.timing(cmt_gs::GsMethod::CrystalRouter).avg_s;
         println!(
@@ -335,7 +343,7 @@ fn dealias_fig() {
                 m.to_string()
             },
             rep.max_wall_s(),
-            100.0 * rep.profile.share("dealias (fine-mesh map)")
+            100.0 * rep.runtime.profile.share("dealias (fine-mesh map)")
         );
     }
     println!();
@@ -370,7 +378,7 @@ fn overlap_fig(full: bool) {
                 "gs_op_finish (wait + combine)",
             ]
             .iter()
-            .map(|r| rep.profile.share(r))
+            .map(|r| rep.runtime.profile.share(r))
             .sum();
             // Fig. 9 view: MPI_Wait share of total MPI time.
             let wait = rep.comm.time_of_op(simmpi::MpiOp::Wait);
@@ -424,7 +432,10 @@ fn resilience_fig(full: bool) {
             });
             let killed = cmt_bone::run(&BoneConfig {
                 checkpoint_every: every,
-                fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=1,step=11").unwrap()),
+                runtime: cmt_bone::RuntimeConfig {
+                    fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=1,step=11").unwrap()),
+                    ..Default::default()
+                },
                 ..base.clone()
             });
             let base_wall = clean.max_wall_s().max(1e-12);
@@ -460,7 +471,10 @@ fn netmodel() {
             elems_per_rank: 27,
             steps: 20,
             fields: 2,
-            net: Some(net),
+            runtime: cmt_bone::RuntimeConfig {
+                net: Some(net),
+                ..Default::default()
+            },
             ..Default::default()
         });
         let avg: f64 = rep.modeled_comm_s.iter().sum::<f64>() / rep.modeled_comm_s.len() as f64;

@@ -37,7 +37,10 @@ fn bone_cfg(method: GsMethod, pipeline: Pipeline, pool: bool, steps: usize) -> C
         fields: 3,
         method: Some(method),
         pipeline,
-        pool,
+        runtime: cmt_bone::RuntimeConfig {
+            pool,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
@@ -47,8 +50,8 @@ fn bone_cfg(method: GsMethod, pipeline: Pipeline, pool: bool, steps: usize) -> C
 fn bone_gs_delta(method: GsMethod, pipeline: Pipeline, pool: bool) -> (u64, u64) {
     let long = cmt_bone::run(&bone_cfg(method, pipeline, pool, 6));
     let short = cmt_bone::run(&bone_cfg(method, pipeline, pool, 2));
-    let (a6, b6) = region_allocs(&long.profile, "gs_op");
-    let (a2, b2) = region_allocs(&short.profile, "gs_op");
+    let (a6, b6) = region_allocs(&long.runtime.profile, "gs_op");
+    let (a2, b2) = region_allocs(&short.runtime.profile, "gs_op");
     (a6.saturating_sub(a2), b6.saturating_sub(b2))
 }
 
@@ -103,8 +106,8 @@ fn cmt_bone_worker_pool_adds_no_steady_state_allocations() {
     let long = cmt_bone::run(&cfg(6));
     let short = cmt_bone::run(&cfg(2));
     for prefix in ["ax_cmt", "dealias"] {
-        let (a_l, b_l) = region_allocs(&long.profile, prefix);
-        let (a_s, b_s) = region_allocs(&short.profile, prefix);
+        let (a_l, b_l) = region_allocs(&long.runtime.profile, prefix);
+        let (a_s, b_s) = region_allocs(&short.runtime.profile, prefix);
         let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
         assert_eq!(
             (allocs, bytes),
@@ -134,8 +137,8 @@ fn cmt_bone_serial_dealias_allocation_free_at_steady_state() {
             };
             let long = cmt_bone::run(&cfg(6));
             let short = cmt_bone::run(&cfg(2));
-            let (a_l, b_l) = region_allocs(&long.profile, "dealias");
-            let (a_s, b_s) = region_allocs(&short.profile, "dealias");
+            let (a_l, b_l) = region_allocs(&long.runtime.profile, "dealias");
+            let (a_s, b_s) = region_allocs(&short.runtime.profile, "dealias");
             let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
             assert_eq!(
                 (allocs, bytes),
@@ -172,8 +175,8 @@ fn cmt_bone_simd_variant_adds_no_steady_state_allocations() {
     let long = cmt_bone::run(&cfg(6));
     let short = cmt_bone::run(&cfg(2));
     for prefix in ["ax_cmt", "dealias"] {
-        let (a_l, b_l) = region_allocs(&long.profile, prefix);
-        let (a_s, b_s) = region_allocs(&short.profile, prefix);
+        let (a_l, b_l) = region_allocs(&long.runtime.profile, prefix);
+        let (a_s, b_s) = region_allocs(&short.runtime.profile, prefix);
         let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
         assert_eq!(
             (allocs, bytes),
@@ -209,8 +212,8 @@ fn cmt_bone_particle_advection_allocation_free_at_steady_state() {
     };
     let long = cmt_bone::run(&cfg(8));
     let short = cmt_bone::run(&cfg(4));
-    let (a_l, b_l) = region_allocs(&long.profile, cmt_perf::regions::PARTICLE_ADVECT);
-    let (a_s, b_s) = region_allocs(&short.profile, cmt_perf::regions::PARTICLE_ADVECT);
+    let (a_l, b_l) = region_allocs(&long.runtime.profile, cmt_perf::regions::PARTICLE_ADVECT);
+    let (a_s, b_s) = region_allocs(&short.runtime.profile, cmt_perf::regions::PARTICLE_ADVECT);
     let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
     assert_eq!(
         (allocs, bytes),
@@ -233,8 +236,8 @@ fn nekbone_dssum_regions_allocation_free_at_steady_state() {
     };
     let long = nekbone::run(&cfg(12));
     let short = nekbone::run(&cfg(4));
-    let (a_l, b_l) = region_allocs(&long.profile, "dssum");
-    let (a_s, b_s) = region_allocs(&short.profile, "dssum");
+    let (a_l, b_l) = region_allocs(&long.runtime.profile, "dssum");
+    let (a_s, b_s) = region_allocs(&short.runtime.profile, "dssum");
     let (allocs, bytes) = (a_l.saturating_sub(a_s), b_l.saturating_sub(b_s));
     assert_eq!(
         (allocs, bytes),

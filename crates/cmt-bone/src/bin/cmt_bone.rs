@@ -1,63 +1,66 @@
 //! CMT-bone command-line driver.
 //!
 //! ```text
-//! cmt-bone [--ranks P] [--elems NEL] [--n N] [--steps S] [--fields F]
-//!          [--variant basic|opt|spec|simd|auto] [--method pairwise|crystal|allreduce]
-//!          [--pipeline blocking|overlapped] [--net qdr|exa|gbe] [--quiet]
+//! cmt-bone [--steps S] [--fields F] [--cfl-interval K] [--dealias M]
+//!          [--pipeline blocking|overlapped] [--net qdr|exa|gbe] [--euler]
+//!          [--particles-per-elem Q] [--particle-cluster FRAC]
+//!          [--lb-every K] [--lb-threshold T]
+//!          [--ranks P] [--elems NEL_PER_RANK] [--n N] [--quiet]
+//!          [--variant basic|opt|spec|simd|auto] [--workers W]
+//!          [--method pairwise|crystal|allreduce]
+//!          [--checkpoint-every K] [--checkpoint-dir PATH] [--restart PATH]
+//!          [--fault-plan SPEC] [--verify] [--chaos-sched SEED] [--no-pool]
+//!          [--transport inproc|socket] [--transport-addr ADDR]
 //! ```
 //!
 //! Runs the mini-app and prints the paper-style report (setup block,
 //! Fig. 7 autotune table, Fig. 4 profile, Figs. 8-10 communication
-//! statistics).
+//! statistics). The flags from `--ranks` on are shared with `nekbone`
+//! (see `cmt_runtime::cli`).
 
 use cmt_bone::{run, Config, Pipeline};
-use cmt_core::KernelVariant;
-use cmt_gs::GsMethod;
-use simmpi::{FaultPlan, NetworkModel, SocketConfig, TransportKind};
+use cmt_runtime::cli;
+use simmpi::NetworkModel;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cmt-bone [--ranks P] [--elems NEL_PER_RANK] [--n N] [--steps S]\n\
-         \x20                [--fields F] [--variant basic|opt|spec|simd|auto]\n\
-         \x20                [--workers W]\n\
-         \x20                [--method pairwise|crystal|allreduce]\n\
-         \x20                [--pipeline blocking|overlapped] [--net qdr|exa|gbe]\n\
-         \x20                [--cfl-interval K] [--dealias M] [--euler] [--quiet]\n\
-         \x20                [--checkpoint-every K] [--checkpoint-dir PATH]\n\
-         \x20                [--restart PATH] [--fault-plan SPEC]\n\
-         \x20                [--verify] [--chaos-sched SEED] [--no-pool]\n\
-         \x20                [--transport inproc|socket] [--transport-addr ADDR]\n\
+        "usage: cmt-bone [--steps S] [--fields F] [--cfl-interval K] [--dealias M]\n\
+         \x20                [--pipeline blocking|overlapped] [--net qdr|exa|gbe] [--euler]\n\
          \x20                [--particles-per-elem Q] [--particle-cluster FRAC]\n\
          \x20                [--lb-every K] [--lb-threshold T]\n\
-         \n\
-         --transport socket runs every rank as a child process over\n\
-         Unix-domain sockets (rank 0's process is the launcher/hub);\n\
-         --transport-addr overrides the endpoint, e.g. unix:/tmp/w.sock\n\
-         or tcp:127.0.0.1:0. Results are bitwise identical to inproc.\n\
-         fault plan SPEC: semicolon-separated events, e.g.\n\
-         \x20 'delay:prob=0.1,us=200;drop:prob=0.05;kill:rank=2,step=5;seed=7'\n\
-         --variant auto autotunes the derivative kernel at startup (variant x\n\
-         chunk grain, averaged across ranks — the Fig. 7 protocol for compute).\n\
-         --workers shares each rank's overlap-window element loops across a\n\
-         work-stealing pool of W threads (1 = pure MPI); results are bitwise\n\
-         identical across worker counts.\n\
-         --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
-         matching, message leaks, races); exit status 1 on findings.\n\
-         --chaos-sched overlays seeded message delays to perturb the schedule.\n\
-         --no-pool disables message-buffer recycling (allocate per message).\n\
+         {}\n\
+         --euler runs the compressible-Euler physics mode instead of the proxy\n\
+         loop; it honours only {} and rejects every other flag.\n\
          --particles-per-elem seeds Q passive tracers per element (0 = off);\n\
          --particle-cluster FRAC crowds them into the first FRAC of the x\n\
          extent (the imbalanced cloud). --lb-every K evaluates the dynamic\n\
          load balancer every K steps; --lb-threshold T (max/mean load, > 1)\n\
          sets the rebalance trigger. Balancing never changes the physics:\n\
-         state hashes are bitwise identical with LB on or off."
+         state hashes are bitwise identical with LB on or off.",
+        cli::usage(),
+        EULER_FLAGS.join(" ")
     );
     std::process::exit(2);
 }
 
-fn parse_usize(v: Option<String>) -> usize {
-    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+fn bad(msg: String) -> ! {
+    eprintln!("{msg}");
+    usage()
 }
+
+/// The flags the `--euler` mode honours.
+const EULER_FLAGS: &[&str] = &[
+    "--ranks",
+    "--elems",
+    "--n",
+    "--steps",
+    "--variant",
+    "--method",
+    "--cfl-interval",
+    "--particles-per-elem",
+    "--quiet",
+    "--euler",
+];
 
 /// Run the compressible-Euler physics mode instead of the proxy loop.
 fn run_euler_mode(cfg: &Config, quiet: bool) {
@@ -101,111 +104,68 @@ fn main() {
     let mut cfg = Config::default();
     let mut quiet = false;
     let mut euler = false;
+    let mut given: Vec<String> = Vec::new();
+    let mut knobs = cfg.knobs();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--ranks" => cfg.ranks = parse_usize(args.next()),
-            "--elems" => cfg.elems_per_rank = parse_usize(args.next()),
-            "--n" => cfg.n = parse_usize(args.next()),
-            "--steps" => cfg.steps = parse_usize(args.next()),
-            "--fields" => cfg.fields = parse_usize(args.next()),
-            "--cfl-interval" => cfg.cfl_interval = parse_usize(args.next()),
-            "--dealias" => cfg.dealias_m = Some(parse_usize(args.next())),
-            "--variant" => match args.next().as_deref() {
-                Some("basic") => cfg.variant = KernelVariant::Basic,
-                Some("opt") => cfg.variant = KernelVariant::Optimized,
-                Some("spec") => cfg.variant = KernelVariant::Specialized,
-                Some("simd") => cfg.variant = KernelVariant::Simd,
-                Some("auto") => cfg.kernel_autotune = true,
-                _ => usage(),
-            },
-            "--workers" => cfg.workers = parse_usize(args.next()),
-            "--method" => {
-                cfg.method = match args.next().as_deref() {
-                    Some("pairwise") => Some(GsMethod::PairwiseExchange),
-                    Some("crystal") => Some(GsMethod::CrystalRouter),
-                    Some("allreduce") => Some(GsMethod::AllReduce),
-                    _ => usage(),
-                }
+        let a = &mut args;
+        let parsed = match arg.as_str() {
+            "--steps" => cli::value(&arg, a).map(|v| cfg.steps = v),
+            "--fields" => cli::value(&arg, a).map(|v| cfg.fields = v),
+            "--cfl-interval" => cli::value(&arg, a).map(|v| cfg.cfl_interval = v),
+            "--dealias" => cli::value(&arg, a).map(|v| cfg.dealias_m = Some(v)),
+            "--pipeline" => cli::value::<String>(&arg, a).and_then(|v| {
+                cfg.pipeline = match v.as_str() {
+                    "blocking" => Pipeline::Blocking,
+                    "overlapped" => Pipeline::Overlapped,
+                    _ => return Err(format!("bad value for --pipeline: {v:?}")),
+                };
+                Ok(())
+            }),
+            "--net" => cli::value::<String>(&arg, a).and_then(|v| {
+                cfg.runtime.net = Some(match v.as_str() {
+                    "qdr" => NetworkModel::qdr_infiniband(),
+                    "exa" => NetworkModel::notional_exascale(),
+                    "gbe" => NetworkModel::gigabit_ethernet(),
+                    _ => return Err(format!("bad value for --net: {v:?}")),
+                });
+                Ok(())
+            }),
+            "--particles-per-elem" => cli::value(&arg, a).map(|v| cfg.particles_per_elem = v),
+            "--particle-cluster" => cli::value(&arg, a).map(|v| cfg.particle_cluster = Some(v)),
+            "--lb-every" => cli::value(&arg, a).map(|v| cfg.lb_every = v),
+            "--lb-threshold" => cli::value(&arg, a).map(|v| cfg.lb_threshold = v),
+            "--quiet" => {
+                quiet = true;
+                Ok(())
             }
-            "--pipeline" => {
-                cfg.pipeline = match args.next().as_deref() {
-                    Some("blocking") => Pipeline::Blocking,
-                    Some("overlapped") => Pipeline::Overlapped,
-                    _ => usage(),
-                }
+            "--euler" => {
+                euler = true;
+                Ok(())
             }
-            "--net" => {
-                cfg.net = match args.next().as_deref() {
-                    Some("qdr") => Some(NetworkModel::qdr_infiniband()),
-                    Some("exa") => Some(NetworkModel::notional_exascale()),
-                    Some("gbe") => Some(NetworkModel::gigabit_ethernet()),
-                    _ => usage(),
-                }
-            }
-            "--checkpoint-every" => cfg.checkpoint_every = parse_usize(args.next()),
-            "--checkpoint-dir" => {
-                cfg.checkpoint_dir = Some(args.next().unwrap_or_else(|| usage()).into())
-            }
-            "--restart" => cfg.restart_from = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--fault-plan" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                cfg.fault_plan = match FaultPlan::parse(&spec) {
-                    Ok(plan) => Some(plan),
-                    Err(e) => {
-                        eprintln!("bad fault plan: {e}");
-                        usage()
-                    }
-                }
-            }
-            "--verify" => cfg.verify = true,
-            "--no-pool" => cfg.pool = false,
-            "--transport" => match args.next().as_deref() {
-                Some("inproc") => cfg.transport = TransportKind::Inproc,
-                Some("socket") => {
-                    if !matches!(cfg.transport, TransportKind::Socket(_)) {
-                        cfg.transport = TransportKind::Socket(SocketConfig::default());
-                    }
-                }
-                _ => usage(),
-            },
-            "--transport-addr" => {
-                let addr = Some(args.next().unwrap_or_else(|| usage()));
-                match &mut cfg.transport {
-                    TransportKind::Socket(c) => c.addr = addr,
-                    _ => {
-                        cfg.transport = TransportKind::Socket(SocketConfig {
-                            addr,
-                            ..Default::default()
-                        })
-                    }
-                }
-            }
-            "--particles-per-elem" => cfg.particles_per_elem = parse_usize(args.next()),
-            "--particle-cluster" => {
-                cfg.particle_cluster = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--lb-every" => cfg.lb_every = parse_usize(args.next()),
-            "--lb-threshold" => {
-                cfg.lb_threshold = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--chaos-sched" => {
-                cfg.chaos_sched = args.next().and_then(|s| s.parse().ok()).or_else(|| usage())
-            }
-            "--quiet" => quiet = true,
-            "--euler" => euler = true,
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
+            flag => match cli::parse_flag(flag, a, &mut knobs, &mut cfg.runtime) {
+                Ok(true) => Ok(()),
+                Ok(false) => Err(format!("unknown argument: {flag}")),
+                Err(e) => Err(e),
+            },
+        };
+        parsed.unwrap_or_else(|e| bad(e));
+        given.push(arg);
+    }
+    cfg.set_knobs(knobs);
+    if euler {
+        let mut ignored: Vec<&str> = given
+            .iter()
+            .map(String::as_str)
+            .filter(|f| !EULER_FLAGS.contains(f))
+            .collect();
+        if cfg.kernel_autotune {
+            ignored.push("--variant auto");
+        }
+        if !ignored.is_empty() {
+            eprintln!("--euler does not honour {}", ignored.join(" "));
+            std::process::exit(2);
         }
     }
     if let Err(e) = cfg.validate() {
@@ -224,15 +184,20 @@ fn main() {
             report.state_hash,
             report.avg_wall_s(),
             report.max_wall_s(),
-            report.chosen_method.name()
+            report.runtime.chosen_method.name()
         );
-        if let Some(findings) = &report.verify {
+        if let Some(findings) = &report.runtime.verify {
             print!("{}", cmt_verify::render_findings(findings));
         }
     } else {
         println!("{}", report.render());
     }
-    if report.verify.as_ref().is_some_and(|f| !f.is_empty()) {
+    if report
+        .runtime
+        .verify
+        .as_ref()
+        .is_some_and(|f| !f.is_empty())
+    {
         std::process::exit(1);
     }
 }

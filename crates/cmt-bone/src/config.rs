@@ -1,10 +1,9 @@
 //! Mini-app configuration.
 
-use std::path::PathBuf;
-
 use cmt_core::KernelVariant;
 use cmt_gs::{AutotuneOptions, GsMethod};
-use simmpi::{FaultPlan, NetworkModel, TransportKind};
+use cmt_resilience::Checkpoint;
+use cmt_runtime::{Knobs, RuntimeConfig};
 
 /// How the RK stage schedules its face exchanges relative to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,8 +72,9 @@ pub struct Config {
     /// Fig. 7 protocol applied to compute.
     pub kernel_autotune: bool,
     /// Worker threads per rank for the hybrid MPI+X element loops (1 =
-    /// pure MPI; >1 shares the overlap-window element loops across a
-    /// work-stealing pool while ranks stay the communication unit).
+    /// pure MPI; >1 shares the volume-kernel element loops of either
+    /// pipeline across a work-stealing pool while ranks stay the
+    /// communication unit).
     pub workers: usize,
     /// Force a gather-scatter method; `None` runs the startup autotune,
     /// as CMT-nek/CMT-bone do.
@@ -101,42 +101,12 @@ pub struct Config {
     pub velocity: [f64; 3],
     /// CFL number for the stable-timestep formula.
     pub cfl: f64,
-    /// Optional network model for modelled-time accounting.
-    pub net: Option<NetworkModel>,
     /// Exchange scheduling: blocking per-field `gs_op`s (the legacy
     /// baseline) or the batched split-phase overlap.
     pub pipeline: Pipeline,
     /// Checkpoint every this many steps (0 disables). Required non-zero
     /// when the fault plan schedules rank kills.
     pub checkpoint_every: usize,
-    /// Mirror every checkpoint to this directory (enables cross-run
-    /// `--restart`); `None` keeps checkpoints in memory only.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from the per-rank checkpoints in this directory instead of
-    /// starting at step 0.
-    pub restart_from: Option<PathBuf>,
-    /// Deterministic fault schedule injected into the world (message
-    /// delays, drop/retransmit, scheduled rank kills).
-    pub fault_plan: Option<FaultPlan>,
-    /// Run under the `cmt-verify` dynamic checker: deadlock detection
-    /// over blocked receives, collective-matching verification, finalize
-    /// message-leak sweep, and the vector-clock race detector. Findings
-    /// land in [`crate::RunReport::verify`].
-    pub verify: bool,
-    /// Seeded schedule perturbation (`--chaos-sched`): overlay random
-    /// message delays on the world to explore alternative interleavings.
-    /// Composes with `fault_plan` (kills and drops are kept).
-    pub chaos_sched: Option<u64>,
-    /// Recycle message payload buffers through the per-rank
-    /// [`simmpi::BufferPool`] (the zero-allocation steady state). `false`
-    /// (`--no-pool`) falls back to plain allocation per message — the
-    /// escape hatch for A/B comparisons and for debugging buffer reuse.
-    pub pool: bool,
-    /// Communication backend: in-process mailboxes (the default, every
-    /// rank a thread) or the multi-process socket transport (`--transport
-    /// socket`, every rank a spawned child over Unix-domain or TCP
-    /// sockets). Results are bitwise identical between backends.
-    pub transport: TransportKind,
     /// Passive tracer particles per element seeded at startup (0
     /// disables the particle phase).
     pub particles_per_elem: usize,
@@ -153,6 +123,10 @@ pub struct Config {
     /// load exceeds this (1.0 = perfectly balanced; must be > 1.0 so
     /// the balanced state is a fixed point).
     pub lb_threshold: f64,
+    /// The run environment: network model, fault plan, schedule chaos,
+    /// verifier, buffer pooling, transport, checkpoint and restart
+    /// directories.
+    pub runtime: RuntimeConfig,
 }
 
 impl Default for Config {
@@ -173,20 +147,13 @@ impl Default for Config {
             viscosity: None,
             velocity: [0.8, 0.53, 0.31],
             cfl: 0.25,
-            net: None,
             pipeline: Pipeline::default(),
             checkpoint_every: 0,
-            checkpoint_dir: None,
-            restart_from: None,
-            fault_plan: None,
-            verify: false,
-            chaos_sched: None,
-            pool: true,
-            transport: TransportKind::default(),
             particles_per_elem: 0,
             particle_cluster: None,
             lb_every: 0,
             lb_threshold: 1.25,
+            runtime: RuntimeConfig::default(),
         }
     }
 }
@@ -214,26 +181,10 @@ impl Config {
     }
 
     /// Validate parameter sanity; returns a description of the first
-    /// problem found.
+    /// problem found. The shared knobs and the run environment (including
+    /// a `--restart` directory's checkpoints) are checked by
+    /// [`RuntimeConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
-        if self.n < 2 {
-            return Err(format!("n must be >= 2, got {}", self.n));
-        }
-        if self.n > 25 {
-            return Err(format!(
-                "n must be <= 25 (the paper's range), got {}",
-                self.n
-            ));
-        }
-        if self.workers == 0 {
-            return Err("workers must be positive (1 = pure MPI)".into());
-        }
-        if self.ranks == 0 {
-            return Err("ranks must be positive".into());
-        }
-        if self.elems_per_rank == 0 {
-            return Err("elems_per_rank must be positive".into());
-        }
         if self.fields == 0 {
             return Err("fields must be positive".into());
         }
@@ -254,14 +205,6 @@ impl Config {
         if let Some(nu) = self.viscosity {
             if !(nu > 0.0) {
                 return Err(format!("viscosity must be positive, got {nu}"));
-            }
-        }
-        if let Some(dir) = &self.restart_from {
-            if !dir.is_dir() {
-                return Err(format!(
-                    "restart directory {} does not exist",
-                    dir.display()
-                ));
             }
         }
         if let Some(frac) = self.particle_cluster {
@@ -285,15 +228,88 @@ impl Config {
                 ));
             }
         }
-        if let Some(plan) = &self.fault_plan {
-            plan.validate(self.ranks)?;
-            if !plan.kills.is_empty() && self.checkpoint_every == 0 {
-                return Err("fault plan schedules rank kills but checkpointing is off \
-                     (set checkpoint_every)"
-                    .into());
+        self.runtime
+            .validate(&self.knobs(), |r, ckpt| self.check_restart(r, ckpt))
+    }
+
+    /// Whether rank `r` of this run can resume from `ckpt`: one entry per
+    /// field (plus the particle record when particles are on), each
+    /// sized for the elements the checkpoint's partition gives rank `r`.
+    fn check_restart(&self, r: usize, ckpt: &Checkpoint) -> Result<(), String> {
+        let particles = self.particles_per_elem > 0;
+        if ckpt.fields.len() != self.fields + particles as usize {
+            return Err(format!(
+                "checkpoint holds {} fields, run has {}{}",
+                ckpt.fields.len(),
+                self.fields,
+                if particles {
+                    " plus a particle record"
+                } else {
+                    ""
+                }
+            ));
+        }
+        // A load-balanced run records the partition it captured under.
+        let nel = if ckpt.scalars.is_empty() {
+            self.elems_per_rank
+        } else {
+            let total = self.total_elems();
+            if ckpt.scalars.len() != total
+                || ckpt
+                    .scalars
+                    .iter()
+                    .any(|&o| !(o >= 0.0 && (o as usize) < self.ranks))
+            {
+                return Err(format!(
+                    "checkpoint partition does not fit {} ranks x {} elements",
+                    self.ranks, total
+                ));
             }
+            ckpt.scalars.iter().filter(|&&o| o as usize == r).count()
+        };
+        let len = self.points_per_element() * nel;
+        if let Some(f) = ckpt.fields[..self.fields].iter().find(|f| f.len() != len) {
+            return Err(format!(
+                "checkpoint field holds {} values, run has {len}",
+                f.len()
+            ));
+        }
+        if particles && ckpt.fields[self.fields].len() % 4 != 0 {
+            return Err("corrupt particle record".into());
         }
         Ok(())
+    }
+
+    /// The run-shape knobs shared with the other mini-app (see
+    /// [`Knobs`]).
+    pub fn knobs(&self) -> Knobs {
+        Knobs {
+            ranks: self.ranks,
+            elems_per_rank: self.elems_per_rank,
+            n: self.n,
+            variant: self.variant,
+            kernel_autotune: self.kernel_autotune,
+            workers: self.workers,
+            method: self.method,
+            autotune: self.autotune,
+            checkpoint_every: self.checkpoint_every,
+        }
+    }
+
+    /// Write `k` back into the flat fields (the inverse of
+    /// [`Config::knobs`]).
+    pub fn set_knobs(&mut self, k: Knobs) {
+        Knobs {
+            ranks: self.ranks,
+            elems_per_rank: self.elems_per_rank,
+            n: self.n,
+            variant: self.variant,
+            kernel_autotune: self.kernel_autotune,
+            workers: self.workers,
+            method: self.method,
+            autotune: self.autotune,
+            checkpoint_every: self.checkpoint_every,
+        } = k;
     }
 }
 

@@ -1,29 +1,29 @@
-//! The mini-app driver: setup, autotune, and the instrumented timestep
-//! loop.
+//! The mini-app driver: the rank program as a sequence of phases —
+//! setup, checkpoint-or-recover, the RK step (one stage function per
+//! [`Pipeline`]), rebalance, and finish. The run environment, world,
+//! setup and tuning, and report sections come from [`cmt_runtime`],
+//! shared with Nekbone.
 
 use std::f64::consts::PI;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cmt_core::face::{self, Face};
-use cmt_core::kernels::autotune::{self as kernel_autotune, KernelAutotuneReport};
 use cmt_core::kernels::{self, DerivDir};
-use cmt_core::ops::{
-    advect_volume_rhs, advect_volume_rhs_slices, upwind_face_correction, ElementGeom,
-};
+use cmt_core::ops::{advect_volume_rhs_slices, upwind_face_correction, ElementGeom};
 use cmt_core::poly::Basis;
 use cmt_core::{rk, Field};
-use cmt_gs::{autotune, AutotuneReport, GsHandle, GsMethod, GsOp};
+use cmt_gs::{GsHandle, GsMethod, GsOp};
 use cmt_lb::{decide, gather_costs, migrate_blocks, CostModel};
 use cmt_mesh::{face_exchange_gids_for, ElemPartition, MeshConfig, RankMesh};
 use cmt_particles::{Particle, ParticleSet};
-use cmt_perf::{MpipReport, Profiler};
-use cmt_resilience::{hash, load_checkpoint, Checkpoint, Resilience};
-use cmt_verify::Verifier;
+use cmt_perf::Profiler;
+use cmt_resilience::{hash, Checkpoint, Resilience};
+use cmt_runtime::{Choices, RankOutput};
 use simmpi::{
     chunk_count, chunk_range, Rank, ReduceOp, SharedSliceMut, WireCodec, WireError, WireReader,
-    World,
+    WorkerPool,
 };
-use std::sync::Arc;
 
 use crate::config::{Config, Pipeline};
 use crate::report::{LbSummary, RunReport};
@@ -52,8 +52,6 @@ pub(crate) mod regions {
     pub const DEALIAS: &str = "dealias (fine-mesh map)";
     /// BR1 viscous passes (gradient + viscous divergence).
     pub const VISCOUS: &str = "viscous_br1 (grad + div)";
-    /// Whole setup phase (mesh + gs_setup + autotune).
-    pub const SETUP: &str = "setup (gs_setup + autotune)";
     /// The whole timestep loop.
     pub const LOOP: &str = "timestep_loop";
 }
@@ -72,11 +70,8 @@ pub struct SolutionDump {
     pub dt: f64,
 }
 
-struct RankOutput {
-    profiler: Profiler,
-    autotune: Option<AutotuneReport>,
-    kernel_autotune: Option<KernelAutotuneReport>,
-    chosen: GsMethod,
+/// CMT-bone's part of a rank's output.
+struct BoneOutput {
     checksum: f64,
     /// Global ids of the elements this rank finished owning, with their
     /// per-element state hashes — merged host-side in ascending-gid
@@ -91,7 +86,8 @@ struct RankOutput {
 
 // ---- wire codecs -----------------------------------------------------
 // The socket transport ships each rank's measurement set back to the
-// launcher as bytes, so everything in `RankOutput` needs a wire form.
+// launcher as bytes, so everything in `BoneOutput` needs a wire form (the
+// common prefix in front of it is the runtime's).
 
 impl WireCodec for SolutionDump {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -127,12 +123,8 @@ impl WireCodec for LbSummary {
     }
 }
 
-impl WireCodec for RankOutput {
+impl WireCodec for BoneOutput {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.profiler.encode(buf);
-        self.autotune.encode(buf);
-        self.kernel_autotune.encode(buf);
-        self.chosen.encode(buf);
         self.checksum.encode(buf);
         self.elem_gids.encode(buf);
         self.elem_hashes.encode(buf);
@@ -142,11 +134,7 @@ impl WireCodec for RankOutput {
         self.solution.encode(buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RankOutput {
-            profiler: Profiler::decode(r)?,
-            autotune: Option::decode(r)?,
-            kernel_autotune: Option::decode(r)?,
-            chosen: GsMethod::decode(r)?,
+        Ok(BoneOutput {
             checksum: f64::decode(r)?,
             elem_gids: Vec::decode(r)?,
             elem_hashes: Vec::decode(r)?,
@@ -257,34 +245,6 @@ fn checkpoint_partition(ckpt: &Checkpoint, ranks: usize) -> Option<ElemPartition
     Some(ElemPartition::from_owner(ranks, owner))
 }
 
-/// Restore the field state captured by [`capture_checkpoint`] (the
-/// checkpoint may carry one trailing particle record beyond the field
-/// set).
-fn restore_fields(ckpt: &Checkpoint, u: &mut [Field]) {
-    assert!(
-        ckpt.fields.len() == u.len() || ckpt.fields.len() == u.len() + 1,
-        "checkpoint holds {} fields, run has {}",
-        ckpt.fields.len(),
-        u.len()
-    );
-    for (uf, cf) in u.iter_mut().zip(&ckpt.fields) {
-        assert_eq!(
-            uf.as_slice().len(),
-            cf.len(),
-            "checkpoint field size mismatch"
-        );
-        uf.as_mut_slice().copy_from_slice(cf);
-    }
-}
-
-/// Restore the clock and fault-RNG state captured by
-/// [`capture_checkpoint`].
-fn restore_clock(rank: &mut Rank, ckpt: &Checkpoint, time: &mut f64, step: &mut u64) {
-    *time = ckpt.time;
-    *step = ckpt.step;
-    rank.set_fault_rng_state(ckpt.rng_state);
-}
-
 /// The smooth initial profile of proxy field `f` (periodic in the global
 /// box of extents `lengths`).
 fn initial_profile(f: usize, x: f64, y: f64, z: f64, lengths: [f64; 3]) -> f64 {
@@ -315,16 +275,6 @@ fn stable_dt(cfg: &Config, geom: &ElementGeom) -> f64 {
     } else {
         cfg.cfl
     }
-}
-
-/// Per-rank invariants shared by the stage passes.
-struct StageEnv<'a> {
-    cfg: &'a Config,
-    basis: &'a Basis,
-    geom: &'a ElementGeom,
-    handle: &'a GsHandle,
-    chosen: GsMethod,
-    nel: usize,
 }
 
 /// BR1 viscous workspace: the gradient fields plus per-axis face-trace
@@ -383,7 +333,8 @@ fn viscous_axis_correction(
 /// the three volume divergence derivatives overlap.
 #[allow(clippy::too_many_arguments)]
 fn viscous_pass(
-    env: &StageEnv,
+    env: &Env,
+    handle: &GsHandle,
     rank: &mut Rank,
     prof: &mut Profiler,
     ws: &mut ViscousWs,
@@ -393,9 +344,9 @@ fn viscous_pass(
     rhs: &mut Field,
     scratch: &mut Field,
 ) {
-    let cfg = env.cfg;
-    let (n, nel) = (cfg.n, env.nel);
-    let (basis, geom) = (env.basis, env.geom);
+    let cfg = &env.cfg;
+    let (n, nel) = (cfg.n, uf.nel());
+    let (basis, geom) = (&env.basis, &env.geom);
     let fpe = face::face_values_per_element(n);
     let n2 = n * n;
     let n3 = n2 * n;
@@ -434,35 +385,34 @@ fn viscous_pass(
         }
     }
     // viscous divergence: volume + central surface flux
+    let divergence = |axis: usize, dir, q: &Field, rhs: &mut Field, scratch: &mut Field| {
+        let (qs, ss) = (q.as_slice(), scratch.as_mut_slice());
+        kernels::deriv(cfg.variant, dir, n, nel, &basis.d, qs, ss);
+        rhs.axpy(nu * geom.dscale(axis), scratch);
+    };
+    let correction = |axis: usize, ws: &mut ViscousWs, rhs: &mut Field| {
+        let lift = geom.dscale(axis) / w_end;
+        viscous_axis_correction(
+            n,
+            nel,
+            axis,
+            lift,
+            nu,
+            &mut ws.qnbr[axis],
+            &ws.qown[axis],
+            rhs,
+        );
+    };
     match cfg.pipeline {
         Pipeline::Blocking => {
             for (axis, dir) in AXES {
-                kernels::deriv(
-                    cfg.variant,
-                    dir,
-                    n,
-                    nel,
-                    &basis.d,
-                    ws.q[axis].as_slice(),
-                    scratch.as_mut_slice(),
-                );
-                rhs.axpy(nu * geom.dscale(axis), scratch);
+                divergence(axis, dir, &ws.q[axis], rhs, scratch);
                 face::full2face(n, nel, ws.q[axis].as_slice(), &mut ws.qown[axis]);
                 ws.qnbr[axis].copy_from_slice(&ws.qown[axis]);
                 rank.set_context("faces_visc");
-                env.handle
-                    .gs_op(rank, &mut ws.qnbr[axis], GsOp::Add, env.chosen);
+                handle.gs_op(rank, &mut ws.qnbr[axis], GsOp::Add, env.chosen);
                 rank.set_context("main");
-                viscous_axis_correction(
-                    n,
-                    nel,
-                    axis,
-                    geom.dscale(axis) / w_end,
-                    nu,
-                    &mut ws.qnbr[axis],
-                    &ws.qown[axis],
-                    rhs,
-                );
+                correction(axis, ws, rhs);
             }
         }
         Pipeline::Overlapped => {
@@ -473,39 +423,21 @@ fn viscous_pass(
             let views: Vec<&[f64]> = ws.qown.iter().map(|v| v.as_slice()).collect();
             prof.enter(regions::GS_START);
             rank.set_context("faces_visc");
-            let pending = env.handle.gs_op_start(rank, &views, GsOp::Add, env.chosen);
+            let pending = handle.gs_op_start(rank, &views, GsOp::Add, env.chosen);
             rank.set_context("main");
             prof.exit();
             // overlap window: the three volume divergence derivatives
             for (axis, dir) in AXES {
-                kernels::deriv(
-                    cfg.variant,
-                    dir,
-                    n,
-                    nel,
-                    &basis.d,
-                    ws.q[axis].as_slice(),
-                    scratch.as_mut_slice(),
-                );
-                rhs.axpy(nu * geom.dscale(axis), scratch);
+                divergence(axis, dir, &ws.q[axis], rhs, scratch);
             }
             let mut outs: Vec<&mut [f64]> = ws.qnbr.iter_mut().map(|v| v.as_mut_slice()).collect();
             prof.enter(regions::GS_FINISH);
             rank.set_context("faces_visc");
-            env.handle.gs_op_finish(rank, pending, &mut outs);
+            handle.gs_op_finish(rank, pending, &mut outs);
             rank.set_context("main");
             prof.exit();
             for axis in 0..3 {
-                viscous_axis_correction(
-                    n,
-                    nel,
-                    axis,
-                    geom.dscale(axis) / w_end,
-                    nu,
-                    &mut ws.qnbr[axis],
-                    &ws.qown[axis],
-                    rhs,
-                );
+                correction(axis, ws, rhs);
             }
         }
     }
@@ -534,11 +466,100 @@ fn dealias_roundtrip(
     kernels::tensor3_apply_scratch_variant(variant, n, m, down, fine, rhs, nel, t1, t2);
 }
 
+/// Per-rank constants every phase reads: the effective configuration
+/// (the kernel autotune's winner replaces the requested variant), the
+/// element operators, the settled gs method, and the worker pool.
+struct Env<'a> {
+    cfg: Config,
+    mesh: &'a MeshConfig,
+    basis: Basis,
+    geom: ElementGeom,
+    dt: f64,
+    /// Dealiasing operators `(m, up, down)`: interpolation to the
+    /// m-point fine mesh and back (paper §V: "an element is first mapped
+    /// to a finer mesh and later mapped back"). Partition-independent,
+    /// so they outlive any migration.
+    dealias: Option<(usize, Vec<f64>, Vec<f64>)>,
+    chosen: GsMethod,
+    pool: Option<Arc<WorkerPool>>,
+    workers: usize,
+    /// Chunk grain the kernel autotune fixed (`--variant auto`).
+    fixed_grain: Option<usize>,
+    model: CostModel,
+}
+
+impl<'a> Env<'a> {
+    fn new(rank: &Rank, cfg: &Config, mesh: &'a MeshConfig, choices: &Choices) -> Self {
+        let cfg = Config {
+            variant: choices.variant(cfg.variant),
+            ..cfg.clone()
+        };
+        let basis = Basis::new(cfg.n);
+        let geom = ElementGeom::cube(1.0); // unit-cube elements
+        Env {
+            dt: stable_dt(&cfg, &geom),
+            dealias: cfg
+                .dealias_m
+                .map(|m| (m, basis.dealias_to(m), basis.dealias_from(m))),
+            model: CostModel::for_shape(cfg.n, cfg.fields),
+            chosen: choices.chosen,
+            pool: rank.worker_pool(),
+            workers: rank.workers(),
+            fixed_grain: choices.grain(),
+            mesh,
+            basis,
+            geom,
+            cfg,
+        }
+    }
+
+    /// Chunk geometry `(grain, chunks)` of a block of `nel` elements: the
+    /// pool splits it at the tuned (or default) grain; without a pool it
+    /// is one chunk holding every element.
+    fn chunking(&self, nel: usize) -> (usize, usize) {
+        match self.pool {
+            Some(_) => {
+                let grain = self
+                    .fixed_grain
+                    .unwrap_or_else(|| nel.div_ceil(self.workers * 4).max(1));
+                (grain, chunk_count(nel, grain))
+            }
+            None => (nel.max(1), 1),
+        }
+    }
+
+    /// Run `body(lo, hi, c)` over the element chunks `c` of a block:
+    /// across the worker pool when the rank has one (worker-side heap
+    /// counters charged to the open profiler region), else once on this
+    /// thread over `[0, nel)`. Chunks write disjoint element ranges and
+    /// nothing is reduced across them, so the result is bitwise
+    /// identical for every worker count.
+    fn for_chunks(
+        &self,
+        prof: &mut Profiler,
+        nel: usize,
+        (grain, n_chunks): (usize, usize),
+        body: &(dyn Fn(usize, usize, usize) + Sync),
+    ) {
+        match &self.pool {
+            Some(pool) => {
+                pool.run(n_chunks, &|c| {
+                    let (lo, hi) = chunk_range(nel, grain, c);
+                    body(lo, hi, c);
+                });
+                let (wa, wb) = pool.drain_worker_allocs();
+                prof.charge_allocs(wa, wb);
+            }
+            None => body(0, nel, 0),
+        }
+    }
+}
+
 /// Everything on a rank that is sized by (and bound to) its current
 /// element set: the solution fields, every scratch buffer, the
-/// gather-scatter plan, and the hybrid-pool chunk geometry. A load
-/// balancer migration replaces the whole block — the timestep loop only
-/// ever sees a consistent one.
+/// gather-scatter plan, and the chunk geometry. A load-balancer
+/// migration or a rollback to another partition replaces the whole
+/// block — the timestep loop only ever sees a consistent one.
 struct Block {
     /// Global ids of the owned elements, ascending — the local element
     /// order of every buffer below.
@@ -548,176 +569,164 @@ struct Block {
     u: Vec<Field>,
     u0: Vec<Field>,
     rhs_all: Vec<Field>,
+    /// Derivative scratch; chunk `c` of the element loop uses the slab
+    /// of its own elements.
     scratch: Field,
     faces_all: Vec<Vec<f64>>,
     faces_own_all: Vec<Vec<f64>>,
     /// Fine-mesh dealias buffer (empty when dealiasing is off); the
-    /// interpolation matrices are partition-independent and live
-    /// outside.
+    /// interpolation matrices are partition-independent and live in
+    /// [`Env`].
     dealias_fine: Vec<f64>,
     viscous: Option<ViscousWs>,
-    pool_scratch: Vec<f64>,
     /// Dealias contraction scratch: one `(t1, t2)` pair of
-    /// `max(m,n)^3` values per pool chunk, or a single pair without a
-    /// pool (empty when dealiasing is off).
+    /// `max(m,n)^3` values per chunk (empty when dealiasing is off).
     dealias_scratch: Vec<f64>,
-    grain: usize,
-    n_chunks: usize,
+    /// `(grain, chunks)` of the element loops.
+    chunks: (usize, usize),
 }
 
-/// Build the per-partition state block for an owned-element set. Fields
-/// start zeroed — the caller fills them (initial condition, checkpoint
-/// restore, or migration merge). The gather-scatter `handle` must have
-/// been set up (collectively) for exactly this element set.
-fn build_block(
-    cfg: &Config,
-    owned: Vec<usize>,
-    handle: GsHandle,
-    grain: usize,
-    pool_on: bool,
-) -> Block {
-    let n = cfg.n;
-    let nel = owned.len();
-    let n3 = n * n * n;
-    let fpe = face::face_values_per_element(n);
-    let n_chunks = chunk_count(nel, grain);
-    Block {
-        owned,
-        nel,
-        handle,
-        u: (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect(),
-        u0: (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect(),
-        rhs_all: (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect(),
-        scratch: Field::zeros(n, nel),
-        faces_all: (0..cfg.fields).map(|_| vec![0.0; fpe * nel]).collect(),
-        faces_own_all: (0..cfg.fields).map(|_| vec![0.0; fpe * nel]).collect(),
-        dealias_fine: match cfg.dealias_m {
-            Some(m) => vec![0.0; m * m * m * nel],
-            None => Vec::new(),
-        },
-        viscous: cfg.viscosity.map(|nu| ViscousWs {
-            nu,
-            q: [
-                Field::zeros(n, nel),
-                Field::zeros(n, nel),
-                Field::zeros(n, nel),
-            ],
-            qown: [
-                vec![0.0; fpe * nel],
-                vec![0.0; fpe * nel],
-                vec![0.0; fpe * nel],
-            ],
-            qnbr: [
-                vec![0.0; fpe * nel],
-                vec![0.0; fpe * nel],
-                vec![0.0; fpe * nel],
-            ],
-        }),
-        pool_scratch: if pool_on {
-            vec![0.0; n_chunks * grain * n3]
-        } else {
-            Vec::new()
-        },
-        dealias_scratch: match cfg.dealias_m {
-            Some(m) => vec![0.0; if pool_on { n_chunks } else { 1 } * 2 * m.max(n).pow(3)],
-            None => Vec::new(),
-        },
-        grain,
-        n_chunks,
+impl Block {
+    /// The block for an owned-element set, on a gather-scatter `handle`
+    /// set up (collectively) for exactly this set. Fields start zeroed —
+    /// the caller fills them (initial condition, checkpoint restore, or
+    /// migration merge).
+    fn new(env: &Env, owned: Vec<usize>, handle: GsHandle) -> Block {
+        let cfg = &env.cfg;
+        let n = cfg.n;
+        let nel = owned.len();
+        let fpe = face::face_values_per_element(n);
+        let chunks = env.chunking(nel);
+        let fields = || (0..cfg.fields).map(|_| Field::zeros(n, nel)).collect();
+        let traces = || vec![0.0; fpe * nel];
+        Block {
+            owned,
+            nel,
+            handle,
+            u: fields(),
+            u0: fields(),
+            rhs_all: fields(),
+            scratch: Field::zeros(n, nel),
+            faces_all: (0..cfg.fields).map(|_| traces()).collect(),
+            faces_own_all: (0..cfg.fields).map(|_| traces()).collect(),
+            dealias_fine: match cfg.dealias_m {
+                Some(m) => vec![0.0; m * m * m * nel],
+                None => Vec::new(),
+            },
+            viscous: cfg.viscosity.map(|nu| ViscousWs {
+                nu,
+                q: [
+                    Field::zeros(n, nel),
+                    Field::zeros(n, nel),
+                    Field::zeros(n, nel),
+                ],
+                qown: [traces(), traces(), traces()],
+                qnbr: [traces(), traces(), traces()],
+            }),
+            dealias_scratch: match cfg.dealias_m {
+                Some(m) => vec![0.0; chunks.1 * 2 * m.max(n).pow(3)],
+                None => Vec::new(),
+            },
+            chunks,
+        }
+    }
+
+    /// Collective: set up the gather-scatter plan for this rank's
+    /// elements under `part` and build the block on it. Every rank calls
+    /// this with the same SPMD-uniform partition (a rebalance decision
+    /// or a checkpointed owner vector).
+    fn rebuild(rank: &mut Rank, env: &Env, part: &ElemPartition) -> Block {
+        let owned = part.owned_by(rank.rank());
+        let handle = GsHandle::setup(rank, &face_exchange_gids_for(env.mesh, owned));
+        Block::new(env, owned.to_vec(), handle)
     }
 }
 
-fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool) -> RankOutput {
-    let start = Instant::now();
-    let mut prof = Profiler::new();
-    let n = cfg.n;
-    let basis = Basis::new(n);
-    let geom = ElementGeom::cube(1.0); // unit-cube elements
-    let lengths = {
-        let ge = mesh_cfg.global_elems();
-        [ge[0] as f64, ge[1] as f64, ge[2] as f64]
-    };
+/// The loop state of one rank: partition, block, particles, resilience,
+/// clock, and load-balancer counters.
+struct RankState {
+    part: ElemPartition,
+    blk: Block,
+    pset: Option<ParticleSet>,
+    rz: Resilience,
+    time: f64,
+    step: u64,
+    lb: LbSummary,
+}
 
-    // ---- restart checkpoint loads first ------------------------------
-    // With the load balancer on, a checkpoint records the partition its
-    // fields were captured under; the collective gather-scatter setup
-    // below must run on that partition, so the load happens before any
-    // plan is built.
-    let restart_ckpt = cfg.restart_from.as_ref().map(|dir| {
-        load_checkpoint(dir, rank.rank())
-            .unwrap_or_else(|e| panic!("rank {}: restart: {e}", rank.rank()))
-    });
-    let mut part = restart_ckpt
+impl RankState {
+    /// Restore a checkpoint taken by [`capture_checkpoint`]: rebuild the
+    /// block (collectively) when it was captured under another partition,
+    /// then the fields, particles, clock, and fault-RNG state.
+    fn restore(&mut self, rank: &mut Rank, env: &Env, ckpt: &Checkpoint) {
+        if let Some(ck_part) = checkpoint_partition(ckpt, rank.size()) {
+            if ck_part.owner_vec() != self.part.owner_vec() {
+                // The owner vector is identical on every rank (captured
+                // from SPMD-uniform state), so the collective rebuild is
+                // safe here.
+                self.blk = Block::rebuild(rank, env, &ck_part);
+                if let Some(ps) = self.pset.as_mut() {
+                    ps.set_partition(ck_part.clone());
+                }
+                self.part = ck_part;
+            }
+        }
+        let nf = env.cfg.fields;
+        assert!(
+            ckpt.fields.len() >= nf,
+            "checkpoint holds {} fields, run has {nf}",
+            ckpt.fields.len()
+        );
+        for (uf, cf) in self.blk.u.iter_mut().zip(&ckpt.fields) {
+            uf.as_mut_slice().copy_from_slice(cf);
+        }
+        if let Some(ps) = self.pset.as_mut() {
+            ps.set_particles(particles_from_records(&ckpt.fields[nf]));
+        }
+        self.time = ckpt.time;
+        self.step = ckpt.step;
+        rank.set_fault_rng_state(ckpt.rng_state);
+    }
+}
+
+/// Setup phase: load the restart checkpoint (with the load balancer on,
+/// it records the partition its fields were captured under, and the
+/// collective gather-scatter setup must run on that partition), run the
+/// runtime's setup and tuning, build the block with the initial
+/// condition, seed particles, and apply the restart.
+fn setup<'a>(
+    rank: &mut Rank,
+    prof: &mut Profiler,
+    cfg: &Config,
+    mesh: &'a MeshConfig,
+) -> (Env<'a>, RankState, Choices) {
+    let restart = cmt_runtime::restart_checkpoint(&cfg.runtime, rank);
+    let part = restart
         .as_ref()
         .and_then(|c| checkpoint_partition(c, rank.size()))
-        .unwrap_or_else(|| ElemPartition::initial(mesh_cfg));
-
-    // ---- setup: partition, gs discovery, autotune ---------------------
-    prof.enter(regions::SETUP);
-    let owned0 = part.owned_by(rank.rank());
-    let gids = face_exchange_gids_for(mesh_cfg, owned0);
-    let handle = GsHandle::setup(rank, &gids);
-    let (chosen, tune_report) = match cfg.method {
-        Some(m) => (m, None),
-        None => {
-            let rep = autotune(rank, &handle, cfg.autotune);
-            (rep.chosen, Some(rep))
-        }
+        .unwrap_or_else(|| ElemPartition::initial(mesh));
+    let owned = part.owned_by(rank.rank()).to_vec();
+    let gids = face_exchange_gids_for(mesh, &owned);
+    let (handle, choices, ()) =
+        cmt_runtime::setup(rank, prof, &cfg.knobs(), &gids, owned.len(), |_, _, _| ());
+    let env = Env::new(rank, cfg, mesh, &choices);
+    let mut blk = Block::new(&env, owned, handle);
+    let lengths = {
+        let ge = mesh.global_elems();
+        [ge[0] as f64, ge[1] as f64, ge[2] as f64]
     };
-    // Kernel autotune (`--variant auto`): time every variant × chunk
-    // grain on this rank's shape, average across ranks (the gs-autotune
-    // protocol), and let every rank pick the same winner.
-    let kernel_tune = cfg
-        .kernel_autotune
-        .then(|| kernel_autotune::tune(rank, n, owned0.len(), &basis.d));
-    prof.exit();
-
-    // Effective config: the kernel autotune overrides the requested
-    // variant; everything downstream reads the resolved choice.
-    let mut cfg_eff = cfg.clone();
-    if let Some(t) = &kernel_tune {
-        cfg_eff.variant = t.effective;
-    }
-    let cfg = &cfg_eff;
-
-    // ---- per-partition state block ------------------------------------
-    // The pooled element loops call the same kernels on disjoint
-    // contiguous element ranges, so results are bitwise identical for
-    // every worker count; all scratch lives in the block, sized once per
-    // partition, keeping the steady state allocation-free.
-    let n3 = n * n * n;
-    let pool = rank.worker_pool();
-    let pool_on = pool.is_some();
-    let workers = rank.workers();
-    let fixed_grain = kernel_tune.as_ref().map(|t| t.chosen.grain);
-    let grain_for = |nel: usize| fixed_grain.unwrap_or_else(|| nel.div_ceil(workers * 4).max(1));
-    let grain0 = grain_for(owned0.len());
-    let mut blk = build_block(cfg, owned0.to_vec(), handle, grain0, pool_on);
-    for f in 0..cfg.fields {
-        let owned = &blk.owned;
-        let vals = Field::from_fn(n, blk.nel, |e, i, j, k| {
-            let gc = mesh_cfg.elem_coords(owned[e]);
-            let x = gc[0] as f64 + (basis.nodes[i] + 1.0) / 2.0;
-            let y = gc[1] as f64 + (basis.nodes[j] + 1.0) / 2.0;
-            let z = gc[2] as f64 + (basis.nodes[k] + 1.0) / 2.0;
+    let nodes = &env.basis.nodes;
+    for (f, uf) in blk.u.iter_mut().enumerate() {
+        *uf = Field::from_fn(cfg.n, blk.nel, |e, i, j, k| {
+            let gc = mesh.elem_coords(blk.owned[e]);
+            let x = gc[0] as f64 + (nodes[i] + 1.0) / 2.0;
+            let y = gc[1] as f64 + (nodes[j] + 1.0) / 2.0;
+            let z = gc[2] as f64 + (nodes[k] + 1.0) / 2.0;
             initial_profile(f, x, y, z, lengths)
         });
-        blk.u[f] = vals;
     }
-    let dt = stable_dt(cfg, &geom);
-
-    // Dealiasing operators: interpolation to the m-point fine mesh and
-    // back (paper §V: "an element is first mapped to a finer mesh and
-    // later mapped back"). Partition-independent, so they outlive any
-    // migration.
-    let dealias_ops = cfg
-        .dealias_m
-        .map(|m| (m, basis.dealias_to(m), basis.dealias_from(m)));
-
-    // ---- particles -----------------------------------------------------
-    let mut pset = (cfg.particles_per_elem > 0).then(|| {
-        let pmesh = RankMesh::new(mesh_cfg.clone(), rank.rank());
-        let mut ps = ParticleSet::new(pmesh, &basis);
+    let pset = (cfg.particles_per_elem > 0).then(|| {
+        let mut ps = ParticleSet::new(RankMesh::new(mesh.clone(), rank.rank()), &env.basis);
         ps.set_partition(part.clone());
         match cfg.particle_cluster {
             Some(frac) => ps.seed_clustered(cfg.particles_per_elem, frac),
@@ -725,604 +734,493 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig, collect: bool
         }
         ps
     });
+    let mut st = RankState {
+        part,
+        blk,
+        pset,
+        rz: Resilience::new(
+            cfg.checkpoint_every as u64,
+            cfg.runtime.checkpoint_dir.clone(),
+        ),
+        time: 0.0,
+        step: 0,
+        lb: LbSummary::default(),
+    };
+    if let Some(ckpt) = &restart {
+        st.restore(rank, &env, ckpt);
+    }
+    (env, st, choices)
+}
 
-    // ---- load balancer: cost model + activity counters -----------------
-    let model = CostModel::for_shape(n, cfg.fields);
-    let mut lb_rebalances: u64 = 0;
-    let mut lb_elems_moved: u64 = 0;
-    let mut lb_particles_moved: u64 = 0;
-    let mut lb_peak_imbalance: f64 = 0.0;
+/// Top of a step: checkpoint when due — before any kill scheduled here
+/// can fire, so a kill at step s rolls back to a capture taken at (or
+/// before) s — then, if a scheduled kill fires, run the coordinated
+/// rollback. Kills are SPMD-known, so every rank detects them without
+/// communication. Returns whether the state was rolled back.
+fn checkpoint_or_recover(
+    rank: &mut Rank,
+    prof: &mut Profiler,
+    env: &Env,
+    st: &mut RankState,
+) -> bool {
+    if st.rz.checkpoint_due(st.step) {
+        prof.enter(cmt_perf::regions::CHECKPOINT);
+        let ckpt = capture_checkpoint(
+            rank,
+            st.step,
+            st.time,
+            &st.blk.u,
+            (env.cfg.lb_every > 0).then_some(&st.part),
+            st.pset.as_ref(),
+        );
+        st.rz.save(rank, &ckpt);
+        prof.exit();
+    }
+    let killed = st.rz.killed_at(rank, st.step);
+    if killed.is_empty() {
+        return false;
+    }
+    prof.enter(cmt_perf::regions::RECOVERY);
+    let back = st.rz.recover(rank, &killed);
+    st.restore(rank, env, &back);
+    prof.exit();
+    true
+}
 
-    // ---- resilience: restart, then checkpoint/recover in the loop -----
-    let mut rz = Resilience::new(cfg.checkpoint_every as u64, cfg.checkpoint_dir.clone());
-    let mut time = 0.0;
-    let mut step: u64 = 0;
-    if let Some(ck) = &restart_ckpt {
-        restore_fields(ck, &mut blk.u);
-        if let Some(ps) = pset.as_mut() {
-            assert_eq!(
-                ck.fields.len(),
-                cfg.fields + 1,
-                "restart checkpoint has no particle record"
-            );
-            ps.set_particles(particles_from_records(&ck.fields[cfg.fields]));
+/// One timestep: the RK stages under the configured pipeline, then the
+/// particle phase and (every `cfl_interval` steps) the timestep-control
+/// reduction.
+fn step(rank: &mut Rank, prof: &mut Profiler, env: &Env, st: &mut RankState) {
+    let cfg = &env.cfg;
+    let blk = &mut st.blk;
+    for (uf, u0f) in blk.u.iter().zip(blk.u0.iter_mut()) {
+        u0f.as_mut_slice().copy_from_slice(uf.as_slice());
+    }
+    for stage in 0..rk::STAGES {
+        match cfg.pipeline {
+            Pipeline::Blocking => stage_blocking(rank, prof, env, blk, stage),
+            Pipeline::Overlapped => stage_overlapped(rank, prof, env, blk, stage),
         }
-        restore_clock(rank, ck, &mut time, &mut step);
+    }
+    st.time += env.dt;
+
+    // Particle phase: advect in the end-of-step field, migrate.
+    // Interpolation is per-element with identical arithmetic on every
+    // partition, and the migrated set is sorted by particle id — the
+    // phase is bitwise partition-independent, like the field physics.
+    if let Some(ps) = st.pset.as_mut() {
+        let u = &blk.u;
+        prof.enter(cmt_perf::regions::PARTICLE_ADVECT);
+        ps.advect_field(env.dt, [&u[0], &u[1 % cfg.fields], &u[2 % cfg.fields]]);
+        prof.exit();
+        prof.enter(cmt_perf::regions::PARTICLE_MIGRATE);
+        let moved = ps.migrate(rank);
+        st.lb.particles_moved += moved.sent as u64;
+        prof.exit();
     }
 
-    // ---- timestep loop --------------------------------------------------
-    prof.enter(regions::LOOP);
-    let steps = cfg.steps as u64;
-    while step < steps {
-        // Checkpoint at the top of the step, before any kill scheduled
-        // here can fire, so a kill at step s rolls back to a capture
-        // taken at (or before) s.
-        if rz.checkpoint_due(step) {
-            prof.enter(cmt_perf::regions::CHECKPOINT);
-            rz.save(
-                rank,
-                &capture_checkpoint(
-                    rank,
-                    step,
-                    time,
-                    &blk.u,
-                    (cfg.lb_every > 0).then_some(&part),
-                    pset.as_ref(),
-                ),
-            );
-            prof.exit();
-        }
-        // Scheduled rank kills: SPMD-known, so every rank detects them
-        // without communication and runs the coordinated rollback.
-        let killed = rz.killed_at(rank, step);
-        if !killed.is_empty() {
-            prof.enter(cmt_perf::regions::RECOVERY);
-            let back = rz.recover(rank, &killed);
-            if let Some(ck_part) = checkpoint_partition(&back, rank.size()) {
-                if ck_part.owner_vec() != part.owner_vec() {
-                    // The rollback target predates a rebalance: rebuild
-                    // this rank's block on the checkpoint's partition.
-                    // The owner vector is identical on every rank
-                    // (captured from SPMD-uniform state), so the
-                    // collective gather-scatter setup is safe here.
-                    let owned = ck_part.owned_by(rank.rank());
-                    let gids = face_exchange_gids_for(mesh_cfg, owned);
-                    let new_handle = GsHandle::setup(rank, &gids);
-                    let grain = grain_for(owned.len());
-                    blk = build_block(cfg, owned.to_vec(), new_handle, grain, pool_on);
-                    if let Some(ps) = pset.as_mut() {
-                        ps.set_partition(ck_part.clone());
-                    }
-                    part = ck_part;
-                }
-            }
-            restore_fields(&back, &mut blk.u);
-            if let Some(ps) = pset.as_mut() {
-                ps.set_particles(particles_from_records(&back.fields[cfg.fields]));
-            }
-            restore_clock(rank, &back, &mut time, &mut step);
-            prof.exit();
-            continue;
-        }
-        {
-            let Block {
-                nel,
-                handle,
-                u,
-                u0,
-                rhs_all,
-                scratch,
-                faces_all,
-                faces_own_all,
-                dealias_fine,
-                viscous,
-                pool_scratch,
-                dealias_scratch,
-                grain,
-                n_chunks,
-                ..
-            } = &mut blk;
-            let (nel, grain, n_chunks) = (*nel, *grain, *n_chunks);
-            let handle: &GsHandle = handle;
-            let env = StageEnv {
-                cfg,
-                basis: &basis,
-                geom: &geom,
-                handle,
-                chosen,
-                nel,
+    // Vector reduction: timestep control.
+    if (st.step + 1) % cfg.cfl_interval as u64 == 0 {
+        prof.enter(regions::CFL);
+        rank.set_context("cfl");
+        let local_max = blk.u.iter().fold(0.0f64, |m, f| m.max(f.norm_inf()));
+        let _global_max = rank.allreduce_scalar(local_max, ReduceOp::Max);
+        rank.set_context("main");
+        prof.exit();
+    }
+}
+
+/// The volume work of field `f` for one stage, over the block's element
+/// chunks: the flux divergence (the small-matrix-multiply kernel) into
+/// `rhs_all[f]`, then the dealiasing round trip (identity on the
+/// resolved polynomial content; pure kernel workload) when it is on.
+fn volume_rhs(prof: &mut Profiler, env: &Env, blk: &mut Block, f: usize) {
+    let cfg = &env.cfg;
+    let n = cfg.n;
+    let n3 = n * n * n;
+    let (nel, chunks) = (blk.nel, blk.chunks);
+    let us = blk.u[f].as_slice();
+    let rhs = SharedSliceMut::new(blk.rhs_all[f].as_mut_slice());
+    let scr = SharedSliceMut::new(blk.scratch.as_mut_slice());
+    prof.enter(regions::DERIV);
+    env.for_chunks(prof, nel, chunks, &|lo, hi, _| {
+        // SAFETY: chunk ranges partition 0..nel, and each chunk's scratch
+        // slab is its own elements' slab, so every range below is
+        // touched by one chunk.
+        let (rhs_c, scr_c) = unsafe {
+            (
+                rhs.range_mut(lo * n3, hi * n3),
+                scr.range_mut(lo * n3, hi * n3),
+            )
+        };
+        advect_volume_rhs_slices(
+            cfg.variant,
+            &env.basis,
+            &env.geom,
+            cfg.velocity,
+            n,
+            hi - lo,
+            &us[lo * n3..hi * n3],
+            rhs_c,
+            scr_c,
+        );
+    });
+    prof.exit();
+    if let Some((m, up, down)) = &env.dealias {
+        let m = *m;
+        let m3 = m * m * m;
+        let big3 = m.max(n).pow(3);
+        let fine = SharedSliceMut::new(&mut blk.dealias_fine[..]);
+        let ts = SharedSliceMut::new(&mut blk.dealias_scratch[..]);
+        prof.enter(regions::DEALIAS);
+        env.for_chunks(prof, nel, chunks, &|lo, hi, c| {
+            // SAFETY: disjoint element ranges per chunk; pair c of the
+            // contraction scratch is private to chunk c.
+            let (rhs_c, fine_c, ts_c) = unsafe {
+                (
+                    rhs.range_mut(lo * n3, hi * n3),
+                    fine.range_mut(lo * m3, hi * m3),
+                    ts.range_mut(2 * c * big3, 2 * (c + 1) * big3),
+                )
             };
-            for (uf, u0f) in u.iter().zip(u0.iter_mut()) {
-                u0f.as_mut_slice().copy_from_slice(uf.as_slice());
-            }
-            for stage in 0..rk::STAGES {
-                match cfg.pipeline {
-                    // ---- legacy schedule: one blocking exchange per field ----
-                    Pipeline::Blocking => {
-                        for f in 0..cfg.fields {
-                            let rhs = &mut rhs_all[f];
-                            let faces = &mut faces_all[f];
-                            let faces_own = &mut faces_own_all[f];
+            dealias_roundtrip(cfg.variant, m, n, up, down, rhs_c, fine_c, hi - lo, ts_c);
+        });
+        prof.exit();
+    }
+}
 
-                            // (1) flux divergence: the small-matrix-multiply kernel
-                            prof.enter(regions::DERIV);
-                            advect_volume_rhs(
-                                cfg.variant,
-                                &basis,
-                                &geom,
-                                cfg.velocity,
-                                &u[f],
-                                rhs,
-                                scratch,
-                            );
-                            prof.exit();
+/// Surface extraction of field `f`: its face traces, kept twice (the
+/// exchange overwrites one copy with own + neighbor).
+fn extract_faces(env: &Env, blk: &mut Block, f: usize) {
+    face::full2face(
+        env.cfg.n,
+        blk.nel,
+        blk.u[f].as_slice(),
+        &mut blk.faces_all[f],
+    );
+    blk.faces_own_all[f].copy_from_slice(&blk.faces_all[f]);
+}
 
-                            // (1b) dealiasing round-trip on the RHS (identity on
-                            // the resolved polynomial content; pure kernel
-                            // workload)
-                            if let Some((m, up, down)) = dealias_ops.as_ref() {
-                                prof.enter(regions::DEALIAS);
-                                dealias_roundtrip(
-                                    cfg.variant,
-                                    *m,
-                                    n,
-                                    up,
-                                    down,
-                                    rhs.as_mut_slice(),
-                                    dealias_fine,
-                                    nel,
-                                    dealias_scratch,
-                                );
-                                prof.exit();
-                            }
+/// The per-field tail of a stage once field `f`'s exchange has landed:
+/// upwind lifting (neighbor trace = sum - own), the viscous BR1 passes,
+/// and the RK stage update.
+fn lift_and_update(
+    rank: &mut Rank,
+    prof: &mut Profiler,
+    env: &Env,
+    blk: &mut Block,
+    f: usize,
+    stage: usize,
+) {
+    let Block {
+        handle,
+        u,
+        u0,
+        rhs_all,
+        scratch,
+        faces_all,
+        faces_own_all,
+        viscous,
+        ..
+    } = blk;
+    prof.enter(regions::FLUX_LIFT);
+    for (s, o) in faces_all[f].iter_mut().zip(faces_own_all[f].iter()) {
+        *s -= o;
+    }
+    upwind_face_correction(
+        &env.basis,
+        &env.geom,
+        env.cfg.velocity,
+        &faces_own_all[f],
+        &faces_all[f],
+        &mut rhs_all[f],
+    );
+    prof.exit();
+    if let Some(ws) = viscous.as_mut() {
+        viscous_pass(
+            env,
+            handle,
+            rank,
+            prof,
+            ws,
+            &u[f],
+            &faces_all[f],
+            &faces_own_all[f],
+            &mut rhs_all[f],
+            scratch,
+        );
+    }
+    prof.enter(regions::RK);
+    rk::stage_update(stage, &mut u[f], &u0[f], &rhs_all[f], env.dt);
+    prof.exit();
+}
 
-                            // (2) surface extraction
-                            prof.enter(regions::FULL2FACE);
-                            face::full2face(n, nel, u[f].as_slice(), faces);
-                            faces_own.copy_from_slice(faces);
-                            prof.exit();
+/// One RK stage under the legacy schedule: per field, volume work,
+/// surface extraction, one blocking exchange, then lift and update.
+fn stage_blocking(rank: &mut Rank, prof: &mut Profiler, env: &Env, blk: &mut Block, stage: usize) {
+    for f in 0..env.cfg.fields {
+        volume_rhs(prof, env, blk, f);
+        prof.enter(regions::FULL2FACE);
+        extract_faces(env, blk, f);
+        prof.exit();
+        // Numerical flux: nearest-neighbor exchange. The face-exchange
+        // ids pair each face point with exactly its across-face twin, so
+        // Add recovers own + neighbor.
+        prof.enter(regions::GS_OP);
+        rank.set_context("faces");
+        blk.handle
+            .gs_op(rank, &mut blk.faces_all[f], GsOp::Add, env.chosen);
+        rank.set_context("main");
+        prof.exit();
+        lift_and_update(rank, prof, env, blk, f, stage);
+    }
+}
 
-                            // (3) numerical flux: nearest-neighbor exchange. The
-                            // face-exchange ids pair each face point with exactly
-                            // its across-face twin, so Add recovers own + neighbor.
-                            prof.enter(regions::GS_OP);
-                            rank.set_context("faces");
-                            handle.gs_op(rank, faces, GsOp::Add, chosen);
-                            rank.set_context("main");
-                            prof.exit();
-
-                            // (4) upwind lifting: neighbor trace = sum - own
-                            prof.enter(regions::FLUX_LIFT);
-                            for (s, o) in faces.iter_mut().zip(faces_own.iter()) {
-                                *s -= o;
-                            }
-                            upwind_face_correction(
-                                &basis,
-                                &geom,
-                                cfg.velocity,
-                                faces_own,
-                                faces,
-                                rhs,
-                            );
-                            prof.exit();
-
-                            // (4v) viscous BR1 passes
-                            if let Some(ws) = viscous.as_mut() {
-                                viscous_pass(
-                                    &env,
-                                    rank,
-                                    &mut prof,
-                                    ws,
-                                    &u[f],
-                                    &faces_all[f],
-                                    &faces_own_all[f],
-                                    &mut rhs_all[f],
-                                    scratch,
-                                );
-                            }
-
-                            // (5) RK stage update
-                            prof.enter(regions::RK);
-                            rk::stage_update(stage, &mut u[f], &u0[f], &rhs_all[f], dt);
-                            prof.exit();
-                        }
-                    }
-
-                    // ---- split-phase schedule: batch, start, overlap, finish ----
-                    Pipeline::Overlapped => {
-                        // (1) surface extraction for every field up front
-                        prof.enter(regions::FULL2FACE);
-                        for f in 0..cfg.fields {
-                            face::full2face(n, nel, u[f].as_slice(), &mut faces_all[f]);
-                            faces_own_all[f].copy_from_slice(&faces_all[f]);
-                        }
-                        prof.exit();
-
-                        // (2) start ONE exchange carrying all fields (a k-field
-                        // payload per neighbor: `fields`x fewer messages than the
-                        // blocking schedule). The slice-view list is assembled
-                        // before the region opens so its allocation never counts
-                        // against the exchange.
-                        let views: Vec<&[f64]> = faces_all.iter().map(|v| v.as_slice()).collect();
-                        prof.enter(regions::GS_OP);
-                        prof.enter(regions::GS_START);
-                        rank.set_context("faces");
-                        let pending = handle.gs_op_start(rank, &views, GsOp::Add, chosen);
-                        rank.set_context("main");
-                        prof.exit();
-                        prof.exit();
-
-                        // (3) overlap window: every field's volume work (flux
-                        // divergence + dealias) runs while the face messages are
-                        // in flight. With `--workers`, the element loop of each
-                        // kernel is shared across the rank's work-stealing pool —
-                        // compute fills the same in-flight window, just on more
-                        // cores. Chunks write disjoint element ranges and nothing
-                        // is reduced across chunks, so the result is bitwise
-                        // identical to the serial path.
-                        for f in 0..cfg.fields {
-                            prof.enter(regions::DERIV);
-                            if let Some(pool) = &pool {
-                                let us = u[f].as_slice();
-                                let rhs_sh = SharedSliceMut::new(rhs_all[f].as_mut_slice());
-                                let scr_sh = SharedSliceMut::new(&mut pool_scratch[..]);
-                                pool.run(n_chunks, &|c| {
-                                    let (lo, hi) = chunk_range(nel, grain, c);
-                                    // SAFETY: chunk ranges partition 0..nel and
-                                    // each chunk owns slab c of the scratch, so
-                                    // every range below is touched by one chunk.
-                                    let rhs_c = unsafe { rhs_sh.range_mut(lo * n3, hi * n3) };
-                                    let scr_c = unsafe {
-                                        scr_sh
-                                            .range_mut(c * grain * n3, (c * grain + (hi - lo)) * n3)
-                                    };
-                                    advect_volume_rhs_slices(
-                                        cfg.variant,
-                                        &basis,
-                                        &geom,
-                                        cfg.velocity,
-                                        n,
-                                        hi - lo,
-                                        &us[lo * n3..hi * n3],
-                                        rhs_c,
-                                        scr_c,
-                                    );
-                                });
-                                let (wa, wb) = pool.drain_worker_allocs();
-                                prof.charge_allocs(wa, wb);
-                            } else {
-                                advect_volume_rhs(
-                                    cfg.variant,
-                                    &basis,
-                                    &geom,
-                                    cfg.velocity,
-                                    &u[f],
-                                    &mut rhs_all[f],
-                                    scratch,
-                                );
-                            }
-                            prof.exit();
-                            if let Some((m, up, down)) = dealias_ops.as_ref() {
-                                let fine = &mut *dealias_fine;
-                                prof.enter(regions::DEALIAS);
-                                if let Some(pool) = &pool {
-                                    let (m, up, down): (usize, &[f64], &[f64]) = (*m, up, down);
-                                    let m3 = m * m * m;
-                                    let big3 = m.max(n).pow(3);
-                                    let rhs_sh = SharedSliceMut::new(rhs_all[f].as_mut_slice());
-                                    let fine_sh = SharedSliceMut::new(&mut fine[..]);
-                                    let t_sh = SharedSliceMut::new(&mut dealias_scratch[..]);
-                                    pool.run(n_chunks, &|c| {
-                                        let (lo, hi) = chunk_range(nel, grain, c);
-                                        let nel_c = hi - lo;
-                                        // SAFETY: disjoint element ranges per
-                                        // chunk; slab c of the scratch is private.
-                                        let rhs_c = unsafe { rhs_sh.range_mut(lo * n3, hi * n3) };
-                                        let fine_c = unsafe { fine_sh.range_mut(lo * m3, hi * m3) };
-                                        let ts = unsafe {
-                                            t_sh.range_mut(2 * c * big3, 2 * (c + 1) * big3)
-                                        };
-                                        dealias_roundtrip(
-                                            cfg.variant,
-                                            m,
-                                            n,
-                                            up,
-                                            down,
-                                            rhs_c,
-                                            fine_c,
-                                            nel_c,
-                                            ts,
-                                        );
-                                    });
-                                    let (wa, wb) = pool.drain_worker_allocs();
-                                    prof.charge_allocs(wa, wb);
-                                } else {
-                                    dealias_roundtrip(
-                                        cfg.variant,
-                                        *m,
-                                        n,
-                                        up,
-                                        down,
-                                        rhs_all[f].as_mut_slice(),
-                                        fine,
-                                        nel,
-                                        dealias_scratch,
-                                    );
-                                }
-                                prof.exit();
-                            }
-                        }
-
-                        // (4) finish: wait, fold remote contributions, scatter
-                        // (view list built outside the region, as at start)
-                        let mut outs: Vec<&mut [f64]> =
-                            faces_all.iter_mut().map(|v| v.as_mut_slice()).collect();
-                        prof.enter(regions::GS_OP);
-                        prof.enter(regions::GS_FINISH);
-                        rank.set_context("faces");
-                        handle.gs_op_finish(rank, pending, &mut outs);
-                        rank.set_context("main");
-                        prof.exit();
-                        prof.exit();
-
-                        // (5) per-field lift + viscous + RK
-                        for f in 0..cfg.fields {
-                            prof.enter(regions::FLUX_LIFT);
-                            let faces = &mut faces_all[f];
-                            let faces_own = &faces_own_all[f];
-                            for (s, o) in faces.iter_mut().zip(faces_own.iter()) {
-                                *s -= o;
-                            }
-                            upwind_face_correction(
-                                &basis,
-                                &geom,
-                                cfg.velocity,
-                                faces_own,
-                                faces,
-                                &mut rhs_all[f],
-                            );
-                            prof.exit();
-
-                            if let Some(ws) = viscous.as_mut() {
-                                viscous_pass(
-                                    &env,
-                                    rank,
-                                    &mut prof,
-                                    ws,
-                                    &u[f],
-                                    &faces_all[f],
-                                    &faces_own_all[f],
-                                    &mut rhs_all[f],
-                                    scratch,
-                                );
-                            }
-
-                            prof.enter(regions::RK);
-                            rk::stage_update(stage, &mut u[f], &u0[f], &rhs_all[f], dt);
-                            prof.exit();
-                        }
-                    }
-                }
-            }
-            time += dt;
-
-            // ---- particle phase: advect in the end-of-step field, migrate --
-            // Interpolation is per-element with identical arithmetic on every
-            // partition, and the migrated set is sorted by particle id — the
-            // phase is bitwise partition-independent, like the field physics.
-            if let Some(ps) = pset.as_mut() {
-                prof.enter(cmt_perf::regions::PARTICLE_ADVECT);
-                ps.advect_field(dt, [&u[0], &u[1 % cfg.fields], &u[2 % cfg.fields]]);
-                prof.exit();
-                prof.enter(cmt_perf::regions::PARTICLE_MIGRATE);
-                let moved = ps.migrate(rank);
-                lb_particles_moved += moved.sent as u64;
-                prof.exit();
-            }
-
-            // (6) vector reduction: timestep control
-            if (step + 1) % cfg.cfl_interval as u64 == 0 {
-                prof.enter(regions::CFL);
-                rank.set_context("cfl");
-                let local_max = u.iter().fold(0.0f64, |m, f| m.max(f.norm_inf()));
-                let _global_max = rank.allreduce_scalar(local_max, ReduceOp::Max);
-                rank.set_context("main");
-                prof.exit();
-            }
-        }
-        step += 1;
-
-        // ---- load balancer: monitor (and maybe migrate) ----------------
-        // Runs between steps on SPMD-uniform inputs (one allgather), so
-        // every rank reaches the identical decision with no extra
-        // synchronization. Skipped after the last step: there is no work
-        // left to balance.
-        if cfg.lb_every > 0 && step % cfg.lb_every as u64 == 0 && step < steps {
-            prof.enter(cmt_perf::regions::LB_MONITOR);
-            let ps = pset.as_mut().expect("validate(): lb requires particles");
-            let counts = ps.counts_per_owned();
-            let delay_us = rank.injected_delay_us();
-            let global = gather_costs(rank, &part, &counts, delay_us);
-            let decision = decide(&model, &part, &global, cfg.lb_threshold);
-            lb_peak_imbalance = lb_peak_imbalance.max(decision.imbalance);
-            prof.exit();
-            if let Some(owners) = decision.owners {
-                prof.enter(cmt_perf::regions::LB_MIGRATE);
-                let new_part = ElemPartition::from_owner(rank.size(), owners);
-                let me = rank.rank();
-                // Drain departing residents first, keyed by gid, so the
-                // element pack below can ship them with their element.
-                let dep: std::collections::HashMap<usize, Vec<Particle>> = ps
-                    .split_off_elems(|gid| new_part.owner_of(gid) != me)
-                    .into_iter()
-                    .collect();
-                let shipped: usize = dep.values().map(|v| v.len()).sum();
-                // Rebuild the block on the new partition first (collective
-                // gs setup — every rank is here, by the SPMD argument
-                // above), so arrivals can unpack straight into it.
-                let owned = new_part.owned_by(me);
-                let gids = face_exchange_gids_for(mesh_cfg, owned);
-                let new_handle = GsHandle::setup(rank, &gids);
-                let grain = grain_for(owned.len());
-                let mut nb = build_block(cfg, owned.to_vec(), new_handle, grain, pool_on);
-                // Kept elements copy over; gained elements are written by
-                // the unpack callback below, each placed at its new local
-                // slot as its frame is walked — no intermediate copy.
-                for (slot, &gid) in nb.owned.iter().enumerate() {
-                    if part.owner_of(gid) == me {
-                        let (_, old_slot) = part.slot_of(gid);
-                        for (nf, of) in nb.u.iter_mut().zip(blk.u.iter()) {
-                            nf.as_mut_slice()[slot * n3..(slot + 1) * n3].copy_from_slice(
-                                &of.as_slice()[old_slot * n3..(old_slot + 1) * n3],
-                            );
-                        }
-                    }
-                }
-                let u_old = &blk.u;
-                let mut gained = 0usize;
-                let mstats = migrate_blocks(
-                    rank,
-                    &part,
-                    &new_part,
-                    |gid| {
-                        let (_, slot) = part.slot_of(gid);
-                        let res = dep.get(&gid).map(|v| v.as_slice()).unwrap_or(&[]);
-                        let mut vals = Vec::with_capacity(cfg.fields * n3 + 1 + res.len() * 4);
-                        for uf in u_old {
-                            vals.extend_from_slice(&uf.as_slice()[slot * n3..(slot + 1) * n3]);
-                        }
-                        vals.push(res.len() as f64);
-                        for p in res {
-                            vals.push(p.id as f64);
-                            vals.extend_from_slice(&p.pos);
-                        }
-                        vals
-                    },
-                    |gid, data| {
-                        assert_ne!(part.owner_of(gid), me, "arrival for a kept element");
-                        let (owner, slot) = new_part.slot_of(gid);
-                        assert_eq!(owner, me, "migration routing mismatch");
-                        gained += 1;
-                        for (f, nf) in nb.u.iter_mut().enumerate() {
-                            nf.as_mut_slice()[slot * n3..(slot + 1) * n3]
-                                .copy_from_slice(&data[f * n3..(f + 1) * n3]);
-                        }
-                        let npart = data[cfg.fields * n3] as usize;
-                        let rec = &data[cfg.fields * n3 + 1..];
-                        assert_eq!(rec.len(), npart * 4, "corrupt migrated particle record");
-                        for c in rec.chunks_exact(4) {
-                            ps.insert(Particle {
-                                id: c[0] as u64,
-                                pos: [c[1], c[2], c[3]],
-                            });
-                        }
-                    },
-                );
-                let expected_gained = nb
-                    .owned
-                    .iter()
-                    .filter(|&&gid| part.owner_of(gid) != me)
-                    .count();
-                assert_eq!(gained, expected_gained, "unconsumed migration arrivals");
-                ps.set_partition(new_part.clone());
-                blk = nb;
-                part = new_part;
-                lb_rebalances += 1;
-                lb_elems_moved += mstats.elems_sent as u64;
-                lb_particles_moved += shipped as u64;
-                prof.exit();
-            }
-        }
+/// One RK stage under the split-phase schedule: extract every field's
+/// faces, start ONE exchange carrying all fields (a k-field payload per
+/// neighbor: `fields`x fewer messages than the blocking schedule), run
+/// every field's volume work while the messages are in flight, finish
+/// the exchange, then lift and update each field.
+fn stage_overlapped(
+    rank: &mut Rank,
+    prof: &mut Profiler,
+    env: &Env,
+    blk: &mut Block,
+    stage: usize,
+) {
+    let fields = env.cfg.fields;
+    prof.enter(regions::FULL2FACE);
+    for f in 0..fields {
+        extract_faces(env, blk, f);
     }
     prof.exit();
 
+    // The slice-view lists are assembled outside the regions so their
+    // allocations never count against the exchange.
+    let views: Vec<&[f64]> = blk.faces_all.iter().map(|v| v.as_slice()).collect();
+    prof.enter(regions::GS_OP);
+    prof.enter(regions::GS_START);
+    rank.set_context("faces");
+    let pending = blk.handle.gs_op_start(rank, &views, GsOp::Add, env.chosen);
+    rank.set_context("main");
+    prof.exit();
+    prof.exit();
+
+    // Overlap window: with `--workers`, each kernel's element loop is
+    // shared across the rank's pool, filling the same in-flight window
+    // on more cores.
+    for f in 0..fields {
+        volume_rhs(prof, env, blk, f);
+    }
+
+    // finish: wait, fold remote contributions, scatter
+    let mut outs: Vec<&mut [f64]> = blk.faces_all.iter_mut().map(|v| v.as_mut_slice()).collect();
+    prof.enter(regions::GS_OP);
+    prof.enter(regions::GS_FINISH);
+    rank.set_context("faces");
+    blk.handle.gs_op_finish(rank, pending, &mut outs);
+    rank.set_context("main");
+    prof.exit();
+    prof.exit();
+
+    for f in 0..fields {
+        lift_and_update(rank, prof, env, blk, f, stage);
+    }
+}
+
+/// Between steps: every `lb_every` steps, run the load-balancer monitor
+/// on SPMD-uniform inputs (one allgather), so every rank reaches the
+/// identical decision with no extra synchronization; migrate when the
+/// policy adopts a new partition. Skipped after the last step: there is
+/// no work left to balance.
+fn rebalance(rank: &mut Rank, prof: &mut Profiler, env: &Env, st: &mut RankState) {
+    let cfg = &env.cfg;
+    let every = cfg.lb_every as u64;
+    if every == 0 || st.step % every != 0 || st.step >= cfg.steps as u64 {
+        return;
+    }
+    prof.enter(cmt_perf::regions::LB_MONITOR);
+    let ps = st.pset.as_mut().expect("validate(): lb requires particles");
+    let counts = ps.counts_per_owned();
+    let delay_us = rank.injected_delay_us();
+    let global = gather_costs(rank, &st.part, &counts, delay_us);
+    let decision = decide(&env.model, &st.part, &global, cfg.lb_threshold);
+    st.lb.peak_imbalance = st.lb.peak_imbalance.max(decision.imbalance);
+    prof.exit();
+    if let Some(owners) = decision.owners {
+        prof.enter(cmt_perf::regions::LB_MIGRATE);
+        migrate(
+            rank,
+            env,
+            st,
+            ElemPartition::from_owner(rank.size(), owners),
+        );
+        prof.exit();
+    }
+}
+
+/// Move this rank's state onto `new_part`: elements (all fields) and
+/// their resident particles travel to their new owners over the pooled
+/// crystal router, and the block is rebuilt on the new partition.
+fn migrate(rank: &mut Rank, env: &Env, st: &mut RankState, new_part: ElemPartition) {
+    let cfg = &env.cfg;
+    let n3 = cfg.n * cfg.n * cfg.n;
+    let me = rank.rank();
+    let part = &st.part;
+    let ps = st.pset.as_mut().expect("validate(): lb requires particles");
+    // Drain departing residents first, keyed by gid, so the element pack
+    // below can ship them with their element.
+    let dep: std::collections::HashMap<usize, Vec<Particle>> = ps
+        .split_off_elems(|gid| new_part.owner_of(gid) != me)
+        .into_iter()
+        .collect();
+    let shipped: usize = dep.values().map(|v| v.len()).sum();
+    // Rebuild the block on the new partition first (collective gs setup —
+    // every rank is here, by the SPMD argument above), so arrivals can
+    // unpack straight into it.
+    let mut nb = Block::rebuild(rank, env, &new_part);
+    // Kept elements copy over; gained elements are written by the unpack
+    // callback below, each placed at its new local slot as its frame is
+    // walked — no intermediate copy.
+    for (slot, &gid) in nb.owned.iter().enumerate() {
+        if part.owner_of(gid) == me {
+            let (_, old_slot) = part.slot_of(gid);
+            for (nf, of) in nb.u.iter_mut().zip(st.blk.u.iter()) {
+                nf.as_mut_slice()[slot * n3..(slot + 1) * n3]
+                    .copy_from_slice(&of.as_slice()[old_slot * n3..(old_slot + 1) * n3]);
+            }
+        }
+    }
+    let u_old = &st.blk.u;
+    let mut gained = 0usize;
+    let mstats = migrate_blocks(
+        rank,
+        part,
+        &new_part,
+        |gid| {
+            let (_, slot) = part.slot_of(gid);
+            let res = dep.get(&gid).map(|v| v.as_slice()).unwrap_or(&[]);
+            let mut vals = Vec::with_capacity(cfg.fields * n3 + 1 + res.len() * 4);
+            for uf in u_old {
+                vals.extend_from_slice(&uf.as_slice()[slot * n3..(slot + 1) * n3]);
+            }
+            vals.push(res.len() as f64);
+            for p in res {
+                vals.push(p.id as f64);
+                vals.extend_from_slice(&p.pos);
+            }
+            vals
+        },
+        |gid, data| {
+            assert_ne!(part.owner_of(gid), me, "arrival for a kept element");
+            let (owner, slot) = new_part.slot_of(gid);
+            assert_eq!(owner, me, "migration routing mismatch");
+            gained += 1;
+            for (f, nf) in nb.u.iter_mut().enumerate() {
+                nf.as_mut_slice()[slot * n3..(slot + 1) * n3]
+                    .copy_from_slice(&data[f * n3..(f + 1) * n3]);
+            }
+            let npart = data[cfg.fields * n3] as usize;
+            let rec = &data[cfg.fields * n3 + 1..];
+            assert_eq!(rec.len(), npart * 4, "corrupt migrated particle record");
+            for c in rec.chunks_exact(4) {
+                ps.insert(Particle {
+                    id: c[0] as u64,
+                    pos: [c[1], c[2], c[3]],
+                });
+            }
+        },
+    );
+    let expected_gained = nb
+        .owned
+        .iter()
+        .filter(|&&gid| part.owner_of(gid) != me)
+        .count();
+    assert_eq!(gained, expected_gained, "unconsumed migration arrivals");
+    ps.set_partition(new_part.clone());
+    st.blk = nb;
+    st.part = new_part;
+    st.lb.rebalances += 1;
+    st.lb.elems_moved += mstats.elems_sent as u64;
+    st.lb.particles_moved += shipped as u64;
+}
+
+/// End of the run: the determinism checksum, the per-element state
+/// hashes, the verify sweep, and this rank's output.
+fn finish(
+    rank: &mut Rank,
+    mut prof: Profiler,
+    env: &Env,
+    mut st: RankState,
+    choices: Choices,
+    collect: bool,
+    start: Instant,
+) -> RankOutput<BoneOutput> {
     // Determinism checksum: global sum over all fields. (Unlike the
     // state hash this groups the sum by rank, so it is *not* bitwise
     // partition-independent — the LB identity tests compare hashes.)
+    let blk = &st.blk;
     let local_sum: f64 = blk.u.iter().map(|f| f.sum()).sum();
     rank.set_context("checksum");
     let checksum = rank.allreduce_scalar(local_sum, ReduceOp::Sum);
     rank.set_context("main");
 
-    let (elem_gids, elem_hashes) = hash_elements(&blk.u, n3, &blk.owned, pset.as_mut());
+    let n3 = env.cfg.points_per_element();
+    let (elem_gids, elem_hashes) = hash_elements(&blk.u, n3, &blk.owned, st.pset.as_mut());
 
-    // Finalize-time verification sweep (leaked messages, abandoned
-    // exchanges), timed as its own region so overhead comparisons can
-    // isolate the checker's cost. `World::run` would run the sweep
-    // anyway; doing it here puts it on this rank's profile.
-    if rank.verifying() {
-        prof.enter(cmt_perf::regions::VERIFY);
-        rank.verify_finalize();
-        prof.exit();
-    }
+    cmt_runtime::verify_sweep(rank, &mut prof);
 
     let solution = collect.then(|| SolutionDump {
         global_elem_ids: blk.owned.clone(),
         fields: blk.u.iter().map(|f| f.as_slice().to_vec()).collect(),
-        time,
-        dt,
+        time: st.time,
+        dt: env.dt,
     });
-
-    let lb = (cfg.lb_every > 0).then_some(LbSummary {
-        rebalances: lb_rebalances,
-        elems_moved: lb_elems_moved,
-        particles_moved: lb_particles_moved,
-        peak_imbalance: lb_peak_imbalance,
-    });
-
     RankOutput {
         profiler: prof,
-        autotune: tune_report,
-        kernel_autotune: kernel_tune,
-        chosen,
-        checksum,
-        elem_gids,
-        elem_hashes,
-        lb,
-        wall_s: start.elapsed().as_secs_f64(),
-        modeled_s: rank.modeled_time_s(),
-        solution,
+        choices,
+        app: BoneOutput {
+            checksum,
+            elem_gids,
+            elem_hashes,
+            lb: (env.cfg.lb_every > 0).then_some(st.lb),
+            wall_s: start.elapsed().as_secs_f64(),
+            modeled_s: rank.modeled_time_s(),
+            solution,
+        },
     }
 }
 
-fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
-    cfg.validate().expect("invalid CMT-bone configuration");
-    let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
-    let mut world = match cfg.net {
-        Some(net) => World::with_network(net),
-        None => World::new(),
-    };
-    world = world
-        .with_pooling(cfg.pool)
-        .with_workers(cfg.workers)
-        .with_worker_alloc_counters(cmt_perf::alloc::thread_counts);
-    if let Some(plan) = &cfg.fault_plan {
-        world = world.with_fault_plan(plan.clone());
+fn rank_main(
+    rank: &mut Rank,
+    cfg: &Config,
+    mesh: &MeshConfig,
+    collect: bool,
+) -> RankOutput<BoneOutput> {
+    let start = Instant::now();
+    let mut prof = Profiler::new();
+    let (env, mut st, choices) = setup(rank, &mut prof, cfg, mesh);
+    prof.enter(regions::LOOP);
+    while st.step < cfg.steps as u64 {
+        if checkpoint_or_recover(rank, &mut prof, &env, &mut st) {
+            continue;
+        }
+        step(rank, &mut prof, &env, &mut st);
+        st.step += 1;
+        rebalance(rank, &mut prof, &env, &mut st);
     }
-    if let Some(seed) = cfg.chaos_sched {
-        world = world.with_chaos_sched(seed);
-    }
-    let verifier = cfg.verify.then(|| Arc::new(Verifier::new()));
-    if let Some(v) = &verifier {
-        world = world.with_verifier(v.clone());
-    }
-    world = world.with_transport(cfg.transport.clone());
-    // run_dist: inproc worlds run rank threads exactly as before; socket
-    // worlds spawn one child process per rank (or run this process's
-    // single rank and exit, when the launcher spawned us).
-    let result = world.run_dist(cfg.ranks, |rank| rank_main(rank, cfg, &mesh_cfg, collect));
+    prof.exit();
+    finish(rank, prof, &env, st, choices, collect, start)
+}
 
-    let mut merged = Profiler::new();
-    let mut autotune_rep = None;
-    let mut kernel_autotune_rep = None;
-    let mut chosen = None;
-    let mut checksum = f64::NAN;
-    let mut elem_pairs: Vec<(u64, u64)> = Vec::new();
-    let mut lb_total: Option<LbSummary> = None;
-    let mut rank_wall = Vec::with_capacity(cfg.ranks);
-    let mut rank_compute = Vec::with_capacity(cfg.ranks);
-    let mut modeled = Vec::with_capacity(cfg.ranks);
-    let mut dumps = Vec::new();
+fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid CMT-bone configuration: {e}"));
+    let mesh = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, true);
+    let fin = cmt_runtime::run(&cfg.runtime, &cfg.knobs(), |rank| {
+        rank_main(rank, cfg, &mesh, collect)
+    });
+
     // The physics regions the load balancer redistributes; their summed
     // self time per rank is the compute side of the critical path.
     const COMPUTE_REGIONS: &[&str] = &[
@@ -1334,32 +1232,32 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         regions::VISCOUS,
         cmt_perf::regions::PARTICLE_ADVECT,
     ];
-    for out in result.results {
-        let rank_report = out.profiler.report();
+    let mut checksum = f64::NAN;
+    let mut elem_pairs: Vec<(u64, u64)> = Vec::new();
+    let mut lb_total: Option<LbSummary> = None;
+    let mut rank_wall = Vec::with_capacity(cfg.ranks);
+    let mut rank_compute = Vec::with_capacity(cfg.ranks);
+    let mut modeled = Vec::with_capacity(cfg.ranks);
+    let mut dumps = Vec::new();
+    for out in fin.ranks {
         rank_compute.push(
-            rank_report
+            out.profiler
+                .report()
                 .flat
                 .iter()
                 .filter(|(name, _)| COMPUTE_REGIONS.contains(&name.as_str()))
                 .map(|(_, s)| s.self_s())
                 .sum::<f64>(),
         );
-        merged.merge(&out.profiler);
-        if out.autotune.is_some() && autotune_rep.is_none() {
-            autotune_rep = out.autotune;
-        }
-        if out.kernel_autotune.is_some() && kernel_autotune_rep.is_none() {
-            kernel_autotune_rep = out.kernel_autotune;
-        }
-        chosen.get_or_insert(out.chosen);
-        checksum = out.checksum; // identical on every rank
+        let a = out.app;
+        checksum = a.checksum; // identical on every rank
         elem_pairs.extend(
-            out.elem_gids
+            a.elem_gids
                 .iter()
                 .copied()
-                .zip(out.elem_hashes.iter().copied()),
+                .zip(a.elem_hashes.iter().copied()),
         );
-        if let Some(l) = out.lb {
+        if let Some(l) = a.lb {
             let t = lb_total.get_or_insert_with(LbSummary::default);
             // rebalances and the peak are SPMD-identical across ranks;
             // the traffic counters are per-rank and sum
@@ -1368,11 +1266,9 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
             t.elems_moved += l.elems_moved;
             t.particles_moved += l.particles_moved;
         }
-        rank_wall.push(out.wall_s);
-        modeled.push(out.modeled_s);
-        if let Some(d) = out.solution {
-            dumps.push(d);
-        }
+        rank_wall.push(a.wall_s);
+        modeled.push(a.modeled_s);
+        dumps.extend(a.solution);
     }
     // Combine the per-element hashes host-side in ascending global-id
     // order: the fingerprint is then independent of which rank owned
@@ -1383,23 +1279,11 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         hash::fnv1a(&mut state_hash, &gid.to_le_bytes());
         hash::fnv1a(&mut state_hash, &h.to_le_bytes());
     }
-    // The variant that actually ran: the autotune winner under
-    // `--variant auto`, otherwise the configured variant resolved for
-    // this n; the ISA only applies to the simd tier.
-    let kernel_variant = kernel_autotune_rep
-        .as_ref()
-        .map(|t: &KernelAutotuneReport| t.effective)
-        .unwrap_or_else(|| cfg.variant.resolve(cfg.n));
     let report = RunReport {
-        mesh_summary: mesh_cfg.summary(),
-        mesh: mesh_cfg,
-        chosen_method: chosen.expect("at least one rank"),
-        autotune: autotune_rep,
-        kernel_autotune: kernel_autotune_rep,
-        kernel_variant,
-        kernel_isa: kernel_variant.isa_label(),
-        profile: merged.report(),
-        comm: MpipReport::from_stats(&result.stats),
+        mesh_summary: mesh.summary(),
+        mesh,
+        runtime: fin.report,
+        comm: fin.comm,
         rank_wall_s: rank_wall,
         rank_compute_s: rank_compute,
         modeled_comm_s: modeled,
@@ -1408,7 +1292,6 @@ fn run_inner(cfg: &Config, collect: bool) -> (RunReport, Vec<SolutionDump>) {
         lb: lb_total,
         steps: cfg.steps,
         fields: cfg.fields,
-        verify: verifier.map(|v| v.findings()),
     };
     (report, dumps)
 }
@@ -1429,6 +1312,15 @@ mod tests {
     use super::*;
     use cmt_core::solver::{AdvectionConfig, AdvectionSolver};
     use cmt_core::KernelVariant;
+    use cmt_runtime::RuntimeConfig;
+
+    /// A run environment injecting `plan`.
+    fn faults(plan: simmpi::FaultPlan) -> RuntimeConfig {
+        RuntimeConfig {
+            fault_plan: Some(plan),
+            ..Default::default()
+        }
+    }
 
     fn small_cfg() -> Config {
         Config {
@@ -1454,7 +1346,7 @@ mod tests {
         let b = run(&cfg);
         assert!(a.checksum.is_finite());
         assert_eq!(a.checksum, b.checksum, "checksum not deterministic");
-        assert_eq!(a.chosen_method, GsMethod::PairwiseExchange);
+        assert_eq!(a.runtime.chosen_method, GsMethod::PairwiseExchange);
     }
 
     /// The hybrid MPI+workers overlap window must not change a single
@@ -1503,31 +1395,41 @@ mod tests {
         let simd = run(&simd_cfg);
         assert_eq!(opt.state_hash, simd.state_hash, "simd diverged from opt");
         assert_eq!(opt.checksum, simd.checksum);
-        assert_eq!(simd.kernel_variant, KernelVariant::Simd);
-        assert!(["avx2", "sse2", "scalar"].contains(&simd.kernel_isa));
+        assert_eq!(simd.runtime.kernel_variant, KernelVariant::Simd);
+        assert!(["avx2", "sse2", "scalar"].contains(&simd.runtime.kernel_isa));
         assert!(simd.render().contains(&format!(
             "kernel variant: simd (effective isa: {})",
-            simd.kernel_isa
+            simd.runtime.kernel_isa
         )));
 
         // multi-process socket backend (thread mode): same bits
         let socket = run(&Config {
-            transport: simmpi::TransportKind::Socket(simmpi::SocketConfig {
-                addr: None,
-                threads: true,
-            }),
+            runtime: RuntimeConfig {
+                transport: simmpi::TransportKind::Socket(simmpi::SocketConfig {
+                    addr: None,
+                    threads: true,
+                }),
+                ..Default::default()
+            },
             ..simd_cfg.clone()
         });
         assert_eq!(opt.state_hash, socket.state_hash, "socket simd diverged");
-        assert_eq!(socket.kernel_isa, simd.kernel_isa);
+        assert_eq!(socket.runtime.kernel_isa, simd.runtime.kernel_isa);
 
         // verified run stays clean and identical
         let verified = run(&Config {
-            verify: true,
+            runtime: RuntimeConfig {
+                verify: true,
+                ..Default::default()
+            },
             ..simd_cfg.clone()
         });
         assert_eq!(opt.state_hash, verified.state_hash);
-        assert!(verified.verify.as_ref().is_some_and(|f| f.is_empty()));
+        assert!(verified
+            .runtime
+            .verify
+            .as_ref()
+            .is_some_and(|f| f.is_empty()));
 
         // kill + rollback recovery lands on the same bits
         let ckpt = Config {
@@ -1537,7 +1439,7 @@ mod tests {
         };
         let clean = run(&ckpt);
         let recovered = run(&Config {
-            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
+            runtime: faults(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
             ..ckpt
         });
         assert_eq!(
@@ -1559,6 +1461,7 @@ mod tests {
         };
         let rep = run(&cfg);
         let tune = rep
+            .runtime
             .kernel_autotune
             .as_ref()
             .expect("kernel autotune report");
@@ -1595,16 +1498,16 @@ mod tests {
             regions::RK,
         ] {
             assert!(
-                rep.profile.flat.iter().any(|(n, _)| n == name),
+                rep.runtime.profile.flat.iter().any(|(n, _)| n == name),
                 "missing region {name}"
             );
         }
         // Fig. 4's headline: the derivative kernel is the dominant
         // compute region (compare against other compute, not against the
         // thread-contended exchange).
-        let deriv = rep.profile.share(regions::DERIV);
-        assert!(deriv > rep.profile.share(regions::FULL2FACE));
-        assert!(deriv > rep.profile.share(regions::RK));
+        let deriv = rep.runtime.profile.share(regions::DERIV);
+        assert!(deriv > rep.runtime.profile.share(regions::FULL2FACE));
+        assert!(deriv > rep.runtime.profile.share(regions::RK));
     }
 
     /// The mini-app's proxy loop is a real distributed DG advection: its
@@ -1679,8 +1582,8 @@ mod tests {
             dealiased.checksum
         );
         // but the dealias region exists and did work
-        assert!(dealiased.profile.share(regions::DEALIAS) > 0.0);
-        assert!(plain.profile.share(regions::DEALIAS) == 0.0);
+        assert!(dealiased.runtime.profile.share(regions::DEALIAS) > 0.0);
+        assert!(plain.runtime.profile.share(regions::DEALIAS) == 0.0);
     }
 
     #[test]
@@ -1762,7 +1665,7 @@ mod tests {
         };
         assert!(super::stable_dt(&viscous_cfg, &geom) < dt_inviscid);
         let rep = run(&viscous_cfg);
-        assert!(rep.profile.share(regions::VISCOUS) > 0.0);
+        assert!(rep.runtime.profile.share(regions::VISCOUS) > 0.0);
         // viscous trace exchanges recorded under their own context
         assert!(rep
             .comm
@@ -1881,14 +1784,15 @@ mod tests {
         });
         for name in [regions::GS_OP, regions::GS_START, regions::GS_FINISH] {
             assert!(
-                rep.profile.flat.iter().any(|(n, _)| n == name),
+                rep.runtime.profile.flat.iter().any(|(n, _)| n == name),
                 "missing region {name}"
             );
         }
         // start/finish nest under the gs_op_ parent row
         for child in [regions::GS_START, regions::GS_FINISH] {
             assert!(
-                rep.profile
+                rep.runtime
+                    .profile
                     .edges
                     .iter()
                     .any(|(p, c, _, _)| p == regions::GS_OP && c == child),
@@ -1903,6 +1807,7 @@ mod tests {
             ..small_cfg()
         });
         assert!(!blocking
+            .runtime
             .profile
             .flat
             .iter()
@@ -1948,7 +1853,7 @@ mod tests {
         };
         let clean = run(&base);
         let faulty = run(&Config {
-            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
+            runtime: faults(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
             ..base.clone()
         });
         // coordinated rollback + deterministic solver: the interrupted run
@@ -1961,11 +1866,12 @@ mod tests {
         // recovery shows up as its own region in the Fig. 4 profile...
         for name in [cmt_perf::regions::CHECKPOINT, cmt_perf::regions::RECOVERY] {
             assert!(
-                faulty.profile.flat.iter().any(|(n, _)| n == name),
+                faulty.runtime.profile.flat.iter().any(|(n, _)| n == name),
                 "missing region {name}"
             );
         }
         assert!(!clean
+            .runtime
             .profile
             .flat
             .iter()
@@ -1987,7 +1893,7 @@ mod tests {
         };
         let clean = run(&base);
         let faulty = run(&Config {
-            fault_plan: Some(
+            runtime: faults(
                 simmpi::FaultPlan::parse(
                     "delay:prob=0.2,us=50;drop:prob=0.1,us=100,retries=3;seed=11",
                 )
@@ -2008,15 +1914,6 @@ mod tests {
             .sum();
         assert!(injected > 0, "fault plan injected nothing");
         assert!(!clean.comm.sites.iter().any(|s| s.site.op.is_fault()));
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpointing is off")]
-    fn kills_without_checkpointing_rejected() {
-        let _ = run(&Config {
-            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=1,step=2").unwrap()),
-            ..small_cfg()
-        });
     }
 
     /// A clustered-particle config that leaves most particles on a few
@@ -2075,7 +1972,7 @@ mod tests {
         // and the monitor/migration phases appear in the Fig. 4 profile
         for name in [cmt_perf::regions::LB_MONITOR, cmt_perf::regions::LB_MIGRATE] {
             assert!(
-                on.profile.flat.iter().any(|(n, _)| n == name),
+                on.runtime.profile.flat.iter().any(|(n, _)| n == name),
                 "missing region {name}"
             );
         }
@@ -2097,7 +1994,7 @@ mod tests {
         let balanced = run(&Config {
             lb_every: 2,
             lb_threshold: 1.1,
-            fault_plan: Some(
+            runtime: faults(
                 simmpi::FaultPlan::parse("delay:prob=1.0,us=500,rank=1;seed=9").unwrap(),
             ),
             ..base.clone()
@@ -2146,7 +2043,7 @@ mod tests {
             lb_every: 2,
             lb_threshold: 1.05,
             checkpoint_every: 2,
-            fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
+            runtime: faults(simmpi::FaultPlan::parse("kill:rank=2,step=5").unwrap()),
             ..lb_cfg()
         });
         assert!(on.lb.expect("lb summary").rebalances >= 1);
@@ -2163,11 +2060,14 @@ mod tests {
         let rep = run(&Config {
             lb_every: 2,
             lb_threshold: 1.05,
-            verify: true,
+            runtime: RuntimeConfig {
+                verify: true,
+                ..Default::default()
+            },
             ..lb_cfg()
         });
         assert!(rep.lb.expect("lb summary").rebalances >= 1);
-        let findings = rep.verify.expect("verification ran");
+        let findings = rep.runtime.verify.expect("verification ran");
         assert!(
             findings.is_empty(),
             "verifier found protocol violations in a balanced run: {findings:?}"

@@ -39,6 +39,7 @@ mod driver;
 pub mod euler;
 mod report;
 
+pub use cmt_runtime::RuntimeConfig;
 pub use config::{Config, Pipeline};
 pub use driver::{run, run_collecting_solution, SolutionDump};
 pub use euler::{run_euler, EulerRunConfig, EulerRunReport};

@@ -1,9 +1,9 @@
 //! Run reports: everything the paper's evaluation section measures, from
 //! one mini-app execution.
 
-use cmt_gs::{AutotuneReport, GsMethod};
 use cmt_mesh::MeshConfig;
-use cmt_perf::{MpipReport, ProfileReport};
+use cmt_perf::MpipReport;
+use cmt_runtime::{render_comm, RuntimeReport};
 
 /// Aggregate load-balancer activity over one run (all ranks), present
 /// when `Config::lb_every` enabled the balancer.
@@ -21,30 +21,17 @@ pub struct LbSummary {
     pub peak_imbalance: f64,
 }
 
-/// The full measurement set of one CMT-bone (or Nekbone) run.
+/// The full measurement set of one CMT-bone run (Nekbone's is
+/// `nekbone::NekboneReport`).
 #[derive(Debug)]
 pub struct RunReport {
     /// The mesh/partition configuration used.
     pub mesh: MeshConfig,
     /// Paper-style setup block (the Fig. 7 header).
     pub mesh_summary: String,
-    /// The gather-scatter method actually used for the surface exchange.
-    pub chosen_method: GsMethod,
-    /// The startup tuning table (Fig. 7 body), when autotuning ran.
-    pub autotune: Option<AutotuneReport>,
-    /// The derivative-kernel tuning table (`--variant auto`): variant ×
-    /// chunk-grain timings averaged across ranks, when the kernel
-    /// autotune ran.
-    pub kernel_autotune: Option<cmt_core::kernels::autotune::KernelAutotuneReport>,
-    /// The derivative-kernel variant that actually ran: the configured
-    /// variant resolved for this `n`, or the autotune winner under
-    /// `--variant auto`.
-    pub kernel_variant: cmt_core::KernelVariant,
-    /// The instruction set the simd kernel tier dispatched to
-    /// (`avx2` / `sse2` / `scalar`); `-` when a non-simd variant ran.
-    pub kernel_isa: &'static str,
-    /// Region profile merged over all ranks (Fig. 4).
-    pub profile: ProfileReport,
+    /// What the runtime reports: gs method and kernel variant chosen,
+    /// both tuning tables, the merged Fig. 4 profile, verifier findings.
+    pub runtime: RuntimeReport,
     /// mpiP-style communication statistics (Figs. 8-10).
     pub comm: MpipReport,
     /// Per-rank wall time of the whole rank program, seconds.
@@ -77,9 +64,6 @@ pub struct RunReport {
     pub steps: usize,
     /// Conserved-variable fields stepped.
     pub fields: usize,
-    /// `cmt-verify` findings when the run was checked (`Config::verify`);
-    /// `None` when verification was off, `Some(vec![])` for a clean run.
-    pub verify: Option<Vec<cmt_verify::Finding>>,
 }
 
 impl RunReport {
@@ -146,22 +130,12 @@ impl RunReport {
             "\nsteps = {}  fields = {}  checksum = {:.12e}\n",
             self.steps, self.fields, self.checksum
         ));
-        out.push_str(&format!("state hash: {:016x}\n", self.state_hash));
         out.push_str(&format!(
             "wall time: avg {:.4}s  max {:.4}s   modelled kernel work: {:.2} Gflop ({:.2} Gflop/s)\n",
             self.avg_wall_s(),
             self.max_wall_s(),
             self.modeled_flops() as f64 / 1e9,
             self.flop_rate() / 1e9,
-        ));
-        out.push_str(&format!(
-            "chosen gs method: {}\n",
-            self.chosen_method.name()
-        ));
-        out.push_str(&format!(
-            "kernel variant: {} (effective isa: {})\n",
-            self.kernel_variant.name(),
-            self.kernel_isa
         ));
         if let Some(lb) = &self.lb {
             out.push_str(&format!(
@@ -170,35 +144,16 @@ impl RunReport {
                 lb.rebalances, lb.elems_moved, lb.particles_moved, lb.peak_imbalance
             ));
         }
-        if let Some(findings) = &self.verify {
-            out.push_str(&cmt_verify::render_findings(findings));
-        }
-        if let Some(t) = &self.autotune {
-            out.push_str("\nAutotune (Fig. 7):\n");
-            out.push_str(
-                "mini-app   | method             |      avg (s) |      min (s) |      max (s)\n",
-            );
-            out.push_str(&t.table("CMT-bone"));
-        }
-        if let Some(t) = &self.kernel_autotune {
-            out.push_str("\nKernel autotune (variant x grain, rank-averaged):\n");
-            out.push_str(&t.table("CMT-bone"));
-        }
-        out.push_str("\nExecution profile (Fig. 4):\n");
-        out.push_str(&self.profile.render_flat());
+        self.runtime
+            .render_head("CMT-bone", self.state_hash, &mut out);
+        self.runtime.render_profile(&mut out);
         out.push_str("\nCall graph edges:\n");
-        out.push_str(&self.profile.render_call_graph());
+        out.push_str(&self.runtime.profile.render_call_graph());
         out.push_str("\nMPI time per rank (Fig. 8):\n");
         out.push_str(&self.comm.render_rank_bars());
-        out.push_str("\nTop MPI call sites (Fig. 9):\n");
-        out.push_str(&self.comm.render_top_sites(20));
         out.push_str("\nMessage sizes (Fig. 10):\n");
         out.push_str(&self.comm.render_msg_sizes(10));
-        let net = self.comm.render_net_fit();
-        if !net.is_empty() {
-            out.push_str("\nMeasured network (socket transport):\n");
-            out.push_str(&net);
-        }
+        render_comm(&self.comm, &mut out);
         out
     }
 }
@@ -243,8 +198,8 @@ mod tests {
             method: Some(GsMethod::CrystalRouter),
             ..Default::default()
         });
-        assert!(rep.autotune.is_none());
-        assert_eq!(rep.chosen_method, GsMethod::CrystalRouter);
+        assert!(rep.runtime.autotune.is_none());
+        assert_eq!(rep.runtime.chosen_method, GsMethod::CrystalRouter);
         assert!(!rep.render().contains("Autotune"));
     }
 

@@ -1,132 +1,57 @@
 //! Nekbone command-line driver.
 //!
 //! ```text
-//! nekbone [--ranks P] [--elems NEL] [--n N] [--iters K] [--tol T]
-//!         [--method pairwise|crystal|allreduce] [--quiet]
+//! nekbone [--iters K] [--tol T]
+//!         [--ranks P] [--elems NEL_PER_RANK] [--n N] [--quiet]
+//!         [--variant basic|opt|spec|simd|auto] [--workers W]
+//!         [--method pairwise|crystal|allreduce]
+//!         [--checkpoint-every K] [--checkpoint-dir PATH] [--restart PATH]
+//!         [--fault-plan SPEC] [--verify] [--chaos-sched SEED] [--no-pool]
+//!         [--transport inproc|socket] [--transport-addr ADDR]
 //! ```
+//!
+//! Runs the CG proxy and prints the paper-style report (setup block, CG
+//! convergence, autotune tables, profile, top MPI call sites). Every flag
+//! but `--iters` and `--tol` is shared with `cmt-bone` (see
+//! `cmt_runtime::cli`).
 
-use cmt_core::KernelVariant;
-use cmt_gs::GsMethod;
+use cmt_runtime::cli;
 use nekbone::{run, Config};
-use simmpi::{FaultPlan, SocketConfig, TransportKind};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: nekbone [--ranks P] [--elems NEL_PER_RANK] [--n N] [--iters K]\n\
-         \x20              [--tol T] [--variant basic|opt|spec|simd|auto]\n\
-         \x20              [--workers W]\n\
-         \x20              [--method pairwise|crystal|allreduce] [--quiet]\n\
-         \x20              [--checkpoint-every K] [--checkpoint-dir PATH]\n\
-         \x20              [--restart PATH] [--fault-plan SPEC]\n\
-         \x20              [--verify] [--chaos-sched SEED] [--no-pool]\n\
-         \x20              [--transport inproc|socket] [--transport-addr ADDR]\n\
-         \n\
-         --transport socket runs every rank as a child process over\n\
-         Unix-domain sockets (rank 0's process is the launcher/hub);\n\
-         --transport-addr overrides the endpoint, e.g. unix:/tmp/w.sock\n\
-         or tcp:127.0.0.1:0. Results are bitwise identical to inproc.\n\
-         fault plan SPEC: semicolon-separated events, e.g.\n\
-         \x20 'delay:prob=0.1,us=200;drop:prob=0.05;kill:rank=2,step=5;seed=7'\n\
-         --workers shares each rank's ax element loop across a work-stealing\n\
-         pool of W threads (1 = pure MPI); results are bitwise identical.\n\
-         --verify runs the cmt-verify dynamic checker (deadlock, collective\n\
-         matching, message leaks, races); exit status 1 on findings.\n\
-         --chaos-sched overlays seeded message delays to perturb the schedule.\n\
-         --no-pool disables message-buffer recycling (allocate per message).\n\
-         --variant auto autotunes the ax derivative kernel at startup (variant\n\
-         x chunk grain, averaged across ranks); --variant simd dispatches to\n\
-         the widest vector unit present (avx2/sse2, scalar fallback) with\n\
-         bitwise-identical results."
+        "usage: nekbone [--iters K] [--tol T]\n{}\n\
+         --iters caps the CG iterations; --tol stops early once the residual\n\
+         norm reaches T (0 runs the full budget).",
+        cli::usage()
     );
     std::process::exit(2);
 }
 
-fn parse_usize(v: Option<String>) -> usize {
-    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+fn bad(msg: String) -> ! {
+    eprintln!("{msg}");
+    usage()
 }
 
 fn main() {
     let mut cfg = Config::default();
     let mut quiet = false;
+    let mut knobs = cfg.knobs();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--ranks" => cfg.ranks = parse_usize(args.next()),
-            "--elems" => cfg.elems_per_rank = parse_usize(args.next()),
-            "--n" => cfg.n = parse_usize(args.next()),
-            "--iters" => cfg.cg_iters = parse_usize(args.next()),
-            "--tol" => {
-                cfg.tol = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--variant" => match args.next().as_deref() {
-                Some("basic") => cfg.variant = KernelVariant::Basic,
-                Some("opt") => cfg.variant = KernelVariant::Optimized,
-                Some("spec") => cfg.variant = KernelVariant::Specialized,
-                Some("simd") => cfg.variant = KernelVariant::Simd,
-                Some("auto") => cfg.kernel_autotune = true,
-                _ => usage(),
-            },
-            "--workers" => cfg.workers = parse_usize(args.next()),
-            "--method" => {
-                cfg.method = match args.next().as_deref() {
-                    Some("pairwise") => Some(GsMethod::PairwiseExchange),
-                    Some("crystal") => Some(GsMethod::CrystalRouter),
-                    Some("allreduce") => Some(GsMethod::AllReduce),
-                    _ => usage(),
-                }
-            }
-            "--checkpoint-every" => cfg.checkpoint_every = parse_usize(args.next()),
-            "--checkpoint-dir" => {
-                cfg.checkpoint_dir = Some(args.next().unwrap_or_else(|| usage()).into())
-            }
-            "--restart" => cfg.restart_from = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--fault-plan" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                cfg.fault_plan = match FaultPlan::parse(&spec) {
-                    Ok(plan) => Some(plan),
-                    Err(e) => {
-                        eprintln!("bad fault plan: {e}");
-                        usage()
-                    }
-                }
-            }
-            "--verify" => cfg.verify = true,
-            "--no-pool" => cfg.pool = false,
-            "--transport" => match args.next().as_deref() {
-                Some("inproc") => cfg.transport = TransportKind::Inproc,
-                Some("socket") => {
-                    if !matches!(cfg.transport, TransportKind::Socket(_)) {
-                        cfg.transport = TransportKind::Socket(SocketConfig::default());
-                    }
-                }
-                _ => usage(),
-            },
-            "--transport-addr" => {
-                let addr = Some(args.next().unwrap_or_else(|| usage()));
-                match &mut cfg.transport {
-                    TransportKind::Socket(c) => c.addr = addr,
-                    _ => {
-                        cfg.transport = TransportKind::Socket(SocketConfig {
-                            addr,
-                            ..Default::default()
-                        })
-                    }
-                }
-            }
-            "--chaos-sched" => {
-                cfg.chaos_sched = args.next().and_then(|s| s.parse().ok()).or_else(|| usage())
-            }
+            "--iters" => cfg.cg_iters = cli::value(&arg, &mut args).unwrap_or_else(|e| bad(e)),
+            "--tol" => cfg.tol = cli::value(&arg, &mut args).unwrap_or_else(|e| bad(e)),
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
+            flag => match cli::parse_flag(flag, &mut args, &mut knobs, &mut cfg.runtime) {
+                Ok(true) => {}
+                Ok(false) => bad(format!("unknown argument: {flag}")),
+                Err(e) => bad(e),
+            },
         }
     }
+    cfg.set_knobs(knobs);
     if let Err(e) = cfg.validate() {
         eprintln!("invalid configuration: {e}");
         std::process::exit(2);
@@ -139,15 +64,20 @@ fn main() {
             report.cg.final_residual(),
             report.checksum,
             report.state_hash,
-            report.chosen_method.name()
+            report.runtime.chosen_method.name()
         );
-        if let Some(findings) = &report.verify {
+        if let Some(findings) = &report.runtime.verify {
             print!("{}", cmt_verify::render_findings(findings));
         }
     } else {
         println!("{}", report.render());
     }
-    if report.verify.as_ref().is_some_and(|f| !f.is_empty()) {
+    if report
+        .runtime
+        .verify
+        .as_ref()
+        .is_some_and(|f| !f.is_empty())
+    {
         std::process::exit(1);
     }
 }

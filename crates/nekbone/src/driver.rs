@@ -1,19 +1,16 @@
-//! The Nekbone proxy driver: setup, autotune, instrumented CG run.
+//! The Nekbone proxy driver: mesh, setup, instrumented CG run. The run
+//! environment, world, setup phase, and report sections come from
+//! [`cmt_runtime`], shared with CMT-bone.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use cmt_core::kernels::autotune::{self as kernel_autotune, KernelAutotuneReport};
 use cmt_core::{Field, KernelVariant};
-use cmt_gs::{autotune, AutotuneOptions, AutotuneReport, GsHandle, GsMethod};
+use cmt_gs::{AutotuneOptions, GsMethod};
 use cmt_mesh::{MeshConfig, RankMesh};
-use cmt_perf::{MpipReport, ProfileReport, Profiler};
-use cmt_resilience::{hash, load_checkpoint, Resilience};
-use cmt_verify::Verifier;
-use simmpi::{
-    FaultPlan, NetworkModel, Rank, TransportKind, WireCodec, WireError, WireReader, World,
-};
-use std::sync::Arc;
+use cmt_perf::{MpipReport, Profiler};
+use cmt_resilience::{hash, Checkpoint, Resilience};
+use cmt_runtime::{render_comm, Knobs, RankOutput, RuntimeConfig, RuntimeReport};
+use simmpi::{Rank, WireCodec, WireError, WireReader};
 
 use crate::ax::AxOperator;
 use crate::cg::{cg_solve_resilient, CgStats};
@@ -55,31 +52,13 @@ pub struct Config {
     pub method: Option<GsMethod>,
     /// Autotune options.
     pub autotune: AutotuneOptions,
-    /// Optional network model.
-    pub net: Option<NetworkModel>,
     /// Checkpoint the CG iteration state every this many iterations
     /// (0 disables). Required non-zero when the fault plan kills ranks.
     pub checkpoint_every: usize,
-    /// Mirror every checkpoint to this directory (enables cross-run
-    /// `--restart`); `None` keeps checkpoints in memory only.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume the solve from the per-rank checkpoints in this directory.
-    pub restart_from: Option<PathBuf>,
-    /// Deterministic fault schedule injected into the world.
-    pub fault_plan: Option<FaultPlan>,
-    /// Run under the `cmt-verify` dynamic checker; findings land in
-    /// [`NekboneReport::verify`].
-    pub verify: bool,
-    /// Seeded schedule perturbation: overlay random message delays to
-    /// explore alternative interleavings (composes with `fault_plan`).
-    pub chaos_sched: Option<u64>,
-    /// Recycle message payload buffers through the per-rank
-    /// [`simmpi::BufferPool`]; `false` (`--no-pool`) allocates per message.
-    pub pool: bool,
-    /// Communication backend: in-process mailboxes (default) or the
-    /// multi-process socket transport (`--transport socket`). Results are
-    /// bitwise identical between backends.
-    pub transport: TransportKind,
+    /// The run environment: network model, fault plan, schedule chaos,
+    /// verifier, buffer pooling, transport, checkpoint and restart
+    /// directories.
+    pub runtime: RuntimeConfig,
 }
 
 impl Default for Config {
@@ -97,15 +76,8 @@ impl Default for Config {
             periodic: true,
             method: None,
             autotune: AutotuneOptions::default(),
-            net: None,
             checkpoint_every: 0,
-            checkpoint_dir: None,
-            restart_from: None,
-            fault_plan: None,
-            verify: false,
-            chaos_sched: None,
-            pool: true,
-            transport: TransportKind::default(),
+            runtime: RuntimeConfig::default(),
         }
     }
 }
@@ -117,23 +89,10 @@ pub struct NekboneReport {
     pub mesh: MeshConfig,
     /// Paper-style setup block.
     pub mesh_summary: String,
-    /// Gather-scatter method used for `dssum`.
-    pub chosen_method: GsMethod,
-    /// Startup tuning table (the Fig. 7 Nekbone rows), if autotuned.
-    pub autotune: Option<AutotuneReport>,
-    /// The `ax`-kernel tuning table (`--variant auto`): variant ×
-    /// chunk-grain timings averaged across ranks, when the kernel
-    /// autotune ran.
-    pub kernel_autotune: Option<KernelAutotuneReport>,
-    /// The derivative-kernel variant that actually ran: the configured
-    /// variant resolved for this `n`, or the autotune winner under
-    /// `--variant auto`.
-    pub kernel_variant: KernelVariant,
-    /// The instruction set the simd kernel tier dispatched to
-    /// (`avx2` / `sse2` / `scalar`); `-` when a non-simd variant ran.
-    pub kernel_isa: &'static str,
-    /// Region profile merged over ranks.
-    pub profile: ProfileReport,
+    /// What the runtime reports: gs method and kernel variant chosen,
+    /// both tuning tables (the Fig. 7 Nekbone rows), the merged profile,
+    /// verifier findings.
+    pub runtime: RuntimeReport,
     /// Communication statistics.
     pub comm: MpipReport,
     /// CG convergence record (identical on every rank).
@@ -145,9 +104,6 @@ pub struct NekboneReport {
     /// FNV-1a hash over every rank's final solution bytes, combined in
     /// rank order — the bitwise fingerprint the resilience tests compare.
     pub state_hash: u64,
-    /// `cmt-verify` findings when the run was checked (`Config::verify`);
-    /// `None` when verification was off, `Some(vec![])` for a clean run.
-    pub verify: Option<Vec<cmt_verify::Finding>>,
 }
 
 impl NekboneReport {
@@ -161,48 +117,16 @@ impl NekboneReport {
             self.cg.final_residual(),
             self.checksum
         ));
-        out.push_str(&format!("state hash: {:016x}\n", self.state_hash));
-        out.push_str(&format!(
-            "chosen gs method: {}\n",
-            self.chosen_method.name()
-        ));
-        out.push_str(&format!(
-            "kernel variant: {} (effective isa: {})\n",
-            self.kernel_variant.name(),
-            self.kernel_isa
-        ));
-        if let Some(findings) = &self.verify {
-            out.push_str(&cmt_verify::render_findings(findings));
-        }
-        if let Some(t) = &self.autotune {
-            out.push_str("\nAutotune (Fig. 7):\n");
-            out.push_str(
-                "mini-app   | method             |      avg (s) |      min (s) |      max (s)\n",
-            );
-            out.push_str(&t.table("Nekbone"));
-        }
-        if let Some(t) = &self.kernel_autotune {
-            out.push_str("\nKernel autotune (variant x grain, rank-averaged):\n");
-            out.push_str(&t.table("Nekbone"));
-        }
-        out.push_str("\nExecution profile:\n");
-        out.push_str(&self.profile.render_flat());
-        out.push_str("\nTop MPI call sites:\n");
-        out.push_str(&self.comm.render_top_sites(20));
-        let net = self.comm.render_net_fit();
-        if !net.is_empty() {
-            out.push_str("\nMeasured network (socket transport):\n");
-            out.push_str(&net);
-        }
+        self.runtime
+            .render_head("Nekbone", self.state_hash, &mut out);
+        self.runtime.render_profile(&mut out);
+        render_comm(&self.comm, &mut out);
         out
     }
 }
 
-struct RankOutput {
-    profiler: Profiler,
-    autotune: Option<AutotuneReport>,
-    kernel_autotune: Option<KernelAutotuneReport>,
-    chosen: GsMethod,
+/// Nekbone's part of a rank's output.
+struct NekOutput {
     cg: CgStats,
     checksum: f64,
     state_hash: u64,
@@ -210,8 +134,7 @@ struct RankOutput {
 }
 
 // Wire codecs so the socket transport can ship each rank's measurement
-// set back to the launcher (the `Profiler`, `AutotuneReport`, `GsMethod`
-// and kernel-autotune codecs live with their own crates).
+// set back to the launcher (the common prefix is the runtime's).
 
 impl WireCodec for CgStats {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -226,23 +149,15 @@ impl WireCodec for CgStats {
     }
 }
 
-impl WireCodec for RankOutput {
+impl WireCodec for NekOutput {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.profiler.encode(buf);
-        self.autotune.encode(buf);
-        self.kernel_autotune.encode(buf);
-        self.chosen.encode(buf);
         self.cg.encode(buf);
         self.checksum.encode(buf);
         self.state_hash.encode(buf);
         self.wall_s.encode(buf);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RankOutput {
-            profiler: Profiler::decode(r)?,
-            autotune: Option::decode(r)?,
-            kernel_autotune: Option::decode(r)?,
-            chosen: GsMethod::decode(r)?,
+        Ok(NekOutput {
             cg: CgStats::decode(r)?,
             checksum: f64::decode(r)?,
             state_hash: u64::decode(r)?,
@@ -251,64 +166,45 @@ impl WireCodec for RankOutput {
     }
 }
 
-fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput {
-    let start = Instant::now();
-    let mut prof = Profiler::new();
-
-    prof.enter("setup (gs_setup + autotune)");
-    let mesh = RankMesh::new(mesh_cfg.clone(), rank.rank());
-    // Nekbone gathers over the continuous vertex-conforming numbering.
-    let gids = mesh.volume_point_gids();
-    // Dirichlet mask for non-periodic domains (1 interior, 0 boundary).
-    let mask: Option<Vec<f64>> = (!cfg.periodic).then(|| {
-        let n = cfg.n;
-        let mut m = Vec::with_capacity(gids.len());
-        for le in 0..mesh.nel() {
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        m.push(if mesh.is_boundary_point(le, i, j, k) {
-                            0.0
-                        } else {
-                            1.0
-                        });
-                    }
+/// Dirichlet mask for non-periodic domains (1 interior, 0 boundary), in
+/// volume-point order.
+fn dirichlet_mask(mesh: &RankMesh, n: usize) -> Vec<f64> {
+    let mut m = Vec::with_capacity(mesh.nel() * n * n * n);
+    for le in 0..mesh.nel() {
+        for k in 0..n {
+            for j in 0..n {
+                for i in 0..n {
+                    m.push(if mesh.is_boundary_point(le, i, j, k) {
+                        0.0
+                    } else {
+                        1.0
+                    });
                 }
             }
         }
-        m
-    });
-    let handle = GsHandle::setup(rank, &gids);
-    let (chosen, tune_report) = match cfg.method {
-        Some(m) => (m, None),
-        None => {
-            let rep = autotune(rank, &handle, cfg.autotune);
-            (rep.chosen, Some(rep))
-        }
-    };
-    // inverse multiplicity weights for the redundant-storage dot products
-    let inv_mult: Vec<f64> = handle
-        .multiplicities(rank, chosen)
-        .into_iter()
-        .map(|m| 1.0 / m)
-        .collect();
-    // Kernel autotune (`--variant auto`): time every variant × chunk
-    // grain on this rank's `(N, elems)` shape, average across ranks (the
-    // gs-autotune protocol), and let every rank adopt the same winner
-    // for the `ax` kernel.
-    let kernel_tune = cfg.kernel_autotune.then(|| {
-        let basis = cmt_core::poly::Basis::new(cfg.n);
-        kernel_autotune::tune(rank, cfg.n, mesh.nel(), &basis.d)
-    });
-    prof.exit();
+    }
+    m
+}
 
+fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput<NekOutput> {
+    let start = Instant::now();
+    let mut prof = Profiler::new();
     let n = cfg.n;
+    let mesh = RankMesh::new(mesh_cfg.clone(), rank.rank());
     let nel = mesh.nel();
-    let variant = kernel_tune
-        .as_ref()
-        .map(|t| t.effective)
-        .unwrap_or(cfg.variant);
-    let op = AxOperator::new(n, 1.0, cfg.lambda, variant);
+    // Nekbone gathers over the continuous vertex-conforming numbering.
+    let gids = mesh.volume_point_gids();
+    let mask = (!cfg.periodic).then(|| dirichlet_mask(&mesh, n));
+    // Inverse multiplicity weights for the redundant-storage dot
+    // products: a dssum of ones, once the method is settled.
+    let (handle, choices, inv_mult) =
+        cmt_runtime::setup(rank, &mut prof, &cfg.knobs(), &gids, nel, |rank, h, m| {
+            h.multiplicities(rank, m)
+                .into_iter()
+                .map(|m| 1.0 / m)
+                .collect::<Vec<f64>>()
+        });
+    let op = AxOperator::new(n, 1.0, cfg.lambda, choices.variant(cfg.variant));
 
     // Consistent right-hand side: a smooth function of the global point
     // id (identical for every replica of a shared point), mass-weighted
@@ -331,18 +227,18 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
 
     // Resilience: cadence + vault, and the previous run's checkpoint when
     // restarting from disk.
-    let mut rez = Resilience::new(cfg.checkpoint_every as u64, cfg.checkpoint_dir.clone());
-    let restart = cfg.restart_from.as_ref().map(|dir| {
-        load_checkpoint(dir, rank.rank())
-            .unwrap_or_else(|e| panic!("rank {}: restart: {e}", rank.rank()))
-    });
+    let mut rez = Resilience::new(
+        cfg.checkpoint_every as u64,
+        cfg.runtime.checkpoint_dir.clone(),
+    );
+    let restart = cmt_runtime::restart_checkpoint(&cfg.runtime, rank);
 
     prof.enter("cg_loop");
     let cg = cg_solve_resilient(
         rank,
         &op,
         &handle,
-        chosen,
+        choices.chosen,
         &inv_mult,
         mask.as_deref(),
         &b,
@@ -365,13 +261,7 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
     let checksum = rank.allreduce_scalar(local_sum, simmpi::ReduceOp::Sum);
     rank.set_context("main");
 
-    // Finalize-time verification sweep, timed as its own region (see the
-    // CMT-bone driver for rationale).
-    if rank.verifying() {
-        prof.enter(cmt_perf::regions::VERIFY);
-        rank.verify_finalize();
-        prof.exit();
-    }
+    cmt_runtime::verify_sweep(rank, &mut prof);
 
     let state_hash = {
         let mut h = hash::FNV_OFFSET;
@@ -381,13 +271,13 @@ fn rank_main(rank: &mut Rank, cfg: &Config, mesh_cfg: &MeshConfig) -> RankOutput
 
     RankOutput {
         profiler: prof,
-        autotune: tune_report,
-        kernel_autotune: kernel_tune,
-        chosen,
-        cg,
-        checksum,
-        state_hash,
-        wall_s: start.elapsed().as_secs_f64(),
+        choices,
+        app: NekOutput {
+            cg,
+            checksum,
+            state_hash,
+            wall_s: start.elapsed().as_secs_f64(),
+        },
     }
 }
 
@@ -395,50 +285,72 @@ impl Config {
     /// Validate parameter sanity; returns a description of the first
     /// problem found. The CLI-reachable failure modes (zero elements or
     /// ranks, `n` outside the paper's supported range, zero workers, a
-    /// kill plan without checkpointing) all land here with a message
-    /// instead of panicking deep inside a kernel.
+    /// kill plan without checkpointing, a restart directory without
+    /// loadable CG checkpoints of this run's shape) all land here with a
+    /// message instead of panicking deep inside a kernel.
     pub fn validate(&self) -> Result<(), String> {
-        if self.n < 2 {
-            return Err(format!("n must be >= 2, got {}", self.n));
-        }
-        if self.n > 25 {
-            return Err(format!(
-                "n must be <= 25 (the paper's range), got {}",
-                self.n
-            ));
-        }
-        if self.ranks == 0 {
-            return Err("ranks must be positive".into());
-        }
-        if self.elems_per_rank == 0 {
-            return Err("elems_per_rank must be positive".into());
-        }
-        if self.workers == 0 {
-            return Err("workers must be positive (1 = pure MPI)".into());
-        }
         if !(self.lambda > 0.0) {
             return Err(format!(
                 "lambda must be positive for an SPD operator, got {}",
                 self.lambda
             ));
         }
-        if let Some(dir) = &self.restart_from {
-            if !dir.is_dir() {
-                return Err(format!(
-                    "restart directory {} does not exist",
-                    dir.display()
-                ));
-            }
+        self.runtime
+            .validate(&self.knobs(), |_, ckpt| self.check_restart(ckpt))
+    }
+
+    /// Whether `ckpt` is a CG state this run can resume: `x`, `r`, `p`
+    /// of this run's size, plus `rz` and the residual history.
+    fn check_restart(&self, ckpt: &Checkpoint) -> Result<(), String> {
+        if ckpt.fields.len() != 3 {
+            return Err(format!(
+                "CG checkpoint holds x, r, p; this one holds {} fields",
+                ckpt.fields.len()
+            ));
         }
-        if let Some(plan) = &self.fault_plan {
-            plan.validate(self.ranks)?;
-            if !plan.kills.is_empty() && self.checkpoint_every == 0 {
-                return Err("fault plan schedules rank kills but checkpointing is off \
-                     (set checkpoint_every)"
-                    .into());
-            }
+        let len = self.n.pow(3) * self.elems_per_rank;
+        if let Some(f) = ckpt.fields.iter().find(|f| f.len() != len) {
+            return Err(format!(
+                "checkpoint field holds {} values, run has {len}",
+                f.len()
+            ));
+        }
+        if ckpt.scalars.is_empty() {
+            return Err("CG checkpoint lacks rz and the residual history".into());
         }
         Ok(())
+    }
+
+    /// The run-shape knobs shared with the other mini-app (see
+    /// [`Knobs`]).
+    pub fn knobs(&self) -> Knobs {
+        Knobs {
+            ranks: self.ranks,
+            elems_per_rank: self.elems_per_rank,
+            n: self.n,
+            variant: self.variant,
+            kernel_autotune: self.kernel_autotune,
+            workers: self.workers,
+            method: self.method,
+            autotune: self.autotune,
+            checkpoint_every: self.checkpoint_every,
+        }
+    }
+
+    /// Write `k` back into the flat fields (the inverse of
+    /// [`Config::knobs`]).
+    pub fn set_knobs(&mut self, k: Knobs) {
+        Knobs {
+            ranks: self.ranks,
+            elems_per_rank: self.elems_per_rank,
+            n: self.n,
+            variant: self.variant,
+            kernel_autotune: self.kernel_autotune,
+            workers: self.workers,
+            method: self.method,
+            autotune: self.autotune,
+            checkpoint_every: self.checkpoint_every,
+        } = k;
     }
 }
 
@@ -447,68 +359,30 @@ pub fn run(cfg: &Config) -> NekboneReport {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid Nekbone configuration: {e}"));
     let mesh_cfg = MeshConfig::for_ranks(cfg.ranks, cfg.elems_per_rank, cfg.n, cfg.periodic);
-    let mut world = match cfg.net {
-        Some(net) => World::with_network(net),
-        None => World::new(),
-    };
-    world = world
-        .with_pooling(cfg.pool)
-        .with_workers(cfg.workers)
-        .with_worker_alloc_counters(cmt_perf::alloc::thread_counts);
-    if let Some(plan) = &cfg.fault_plan {
-        world = world.with_fault_plan(plan.clone());
-    }
-    if let Some(seed) = cfg.chaos_sched {
-        world = world.with_chaos_sched(seed);
-    }
-    let verifier = cfg.verify.then(|| Arc::new(Verifier::new()));
-    if let Some(v) = &verifier {
-        world = world.with_verifier(v.clone());
-    }
-    world = world.with_transport(cfg.transport.clone());
-    let result = world.run_dist(cfg.ranks, |rank| rank_main(rank, cfg, &mesh_cfg));
+    let fin = cmt_runtime::run(&cfg.runtime, &cfg.knobs(), |rank| {
+        rank_main(rank, cfg, &mesh_cfg)
+    });
 
-    let mut merged = Profiler::new();
-    let mut autotune_rep = None;
-    let mut kernel_autotune_rep: Option<KernelAutotuneReport> = None;
-    let mut chosen = None;
     let mut cg = None;
     let mut checksum = f64::NAN;
     let mut state_hash = hash::FNV_OFFSET;
-    let mut wall = Vec::new();
-    for out in result.results {
-        merged.merge(&out.profiler);
-        if out.autotune.is_some() && autotune_rep.is_none() {
-            autotune_rep = out.autotune;
-        }
-        if out.kernel_autotune.is_some() && kernel_autotune_rep.is_none() {
-            kernel_autotune_rep = out.kernel_autotune;
-        }
-        chosen.get_or_insert(out.chosen);
-        cg.get_or_insert(out.cg);
-        checksum = out.checksum;
-        hash::fnv1a(&mut state_hash, &out.state_hash.to_le_bytes());
-        wall.push(out.wall_s);
+    let mut wall = Vec::with_capacity(cfg.ranks);
+    for out in fin.ranks {
+        let a = out.app;
+        cg.get_or_insert(a.cg);
+        checksum = a.checksum;
+        hash::fnv1a(&mut state_hash, &a.state_hash.to_le_bytes());
+        wall.push(a.wall_s);
     }
-    let kernel_variant = kernel_autotune_rep
-        .as_ref()
-        .map(|t| t.effective)
-        .unwrap_or_else(|| cfg.variant.resolve(cfg.n));
     NekboneReport {
         mesh_summary: mesh_cfg.summary(),
         mesh: mesh_cfg,
-        chosen_method: chosen.expect("ranks > 0"),
-        autotune: autotune_rep,
-        kernel_autotune: kernel_autotune_rep,
-        kernel_variant,
-        kernel_isa: kernel_variant.isa_label(),
-        profile: merged.report(),
-        comm: MpipReport::from_stats(&result.stats),
+        runtime: fin.report,
+        comm: fin.comm,
         cg: cg.expect("ranks > 0"),
         rank_wall_s: wall,
         checksum,
         state_hash,
-        verify: verifier.map(|v| v.findings()),
     }
 }
 
@@ -640,11 +514,21 @@ mod tests {
     #[test]
     fn profile_has_ax_and_dssum_regions() {
         let rep = run(&small_cfg());
-        assert!(rep.profile.flat.iter().any(|(n, _)| n.starts_with("ax_e")));
-        assert!(rep.profile.flat.iter().any(|(n, _)| n.starts_with("dssum")));
+        assert!(rep
+            .runtime
+            .profile
+            .flat
+            .iter()
+            .any(|(n, _)| n.starts_with("ax_e")));
+        assert!(rep
+            .runtime
+            .profile
+            .flat
+            .iter()
+            .any(|(n, _)| n.starts_with("dssum")));
         // the local stiffness work dominates dssum's self time in a
         // shared-memory world
-        assert!(rep.profile.share("ax_e (local stiffness+mass)") > 0.05);
+        assert!(rep.runtime.profile.share("ax_e (local stiffness+mass)") > 0.05);
     }
 
     #[test]
@@ -656,7 +540,7 @@ mod tests {
             "glsc3_interior (overlap window)",
         ] {
             assert!(
-                rep.profile.flat.iter().any(|(n, _)| n == name),
+                rep.runtime.profile.flat.iter().any(|(n, _)| n == name),
                 "missing region {name}"
             );
         }
@@ -678,7 +562,10 @@ mod tests {
         };
         let clean = run(&base);
         let faulty = run(&Config {
-            fault_plan: Some(FaultPlan::parse("kill:rank=1,step=7").unwrap()),
+            runtime: RuntimeConfig {
+                fault_plan: Some(simmpi::FaultPlan::parse("kill:rank=1,step=7").unwrap()),
+                ..Default::default()
+            },
             ..base.clone()
         });
         // rollback + deterministic CG: bitwise-identical final solve
@@ -691,7 +578,7 @@ mod tests {
         // recovery is a distinct region and comm context
         for name in [cmt_perf::regions::CHECKPOINT, cmt_perf::regions::RECOVERY] {
             assert!(
-                faulty.profile.flat.iter().any(|(n, _)| n == name),
+                faulty.runtime.profile.flat.iter().any(|(n, _)| n == name),
                 "missing region {name}"
             );
         }
@@ -701,15 +588,6 @@ mod tests {
                 "missing '{ctx}' comm context"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpointing is off")]
-    fn kills_without_checkpointing_rejected() {
-        let _ = run(&Config {
-            fault_plan: Some(FaultPlan::parse("kill:rank=1,step=2").unwrap()),
-            ..small_cfg()
-        });
     }
 
     #[test]
@@ -732,9 +610,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "invalid Nekbone configuration")]
-    fn zero_workers_rejected() {
+    fn invalid_config_rejected() {
         let _ = run(&Config {
-            workers: 0,
+            lambda: 0.0,
             ..small_cfg()
         });
     }
@@ -752,16 +630,19 @@ mod tests {
         assert_eq!(opt.state_hash, simd.state_hash, "simd diverged from opt");
         assert_eq!(opt.checksum, simd.checksum);
         assert_eq!(opt.cg.res_history, simd.cg.res_history);
-        assert_eq!(simd.kernel_variant, KernelVariant::Simd);
-        assert!(["avx2", "sse2", "scalar"].contains(&simd.kernel_isa));
+        assert_eq!(simd.runtime.kernel_variant, KernelVariant::Simd);
+        assert!(["avx2", "sse2", "scalar"].contains(&simd.runtime.kernel_isa));
         assert!(simd.render().contains("kernel variant: simd"));
 
         let socket = run(&Config {
             variant: KernelVariant::Simd,
-            transport: TransportKind::Socket(simmpi::SocketConfig {
-                addr: None,
-                threads: true,
-            }),
+            runtime: RuntimeConfig {
+                transport: simmpi::TransportKind::Socket(simmpi::SocketConfig {
+                    addr: None,
+                    threads: true,
+                }),
+                ..Default::default()
+            },
             ..base
         });
         assert_eq!(opt.state_hash, socket.state_hash, "socket simd diverged");
@@ -775,8 +656,12 @@ mod tests {
             kernel_autotune: true,
             ..small_cfg()
         });
-        let t = rep.kernel_autotune.as_ref().expect("kernel autotune ran");
-        assert_eq!(rep.kernel_variant, t.effective);
+        let t = rep
+            .runtime
+            .kernel_autotune
+            .as_ref()
+            .expect("kernel autotune ran");
+        assert_eq!(rep.runtime.kernel_variant, t.effective);
         assert!(!t.timings.is_empty());
         let text = rep.render();
         assert!(text.contains("Kernel autotune"));
@@ -793,7 +678,7 @@ mod tests {
             },
             ..small_cfg()
         });
-        let t = rep.autotune.expect("autotuned");
+        let t = rep.runtime.autotune.expect("autotuned");
         assert_eq!(t.timings.len(), 3);
         let table = t.table("Nekbone");
         assert!(table.contains("pairwise exchange"));

@@ -31,4 +31,5 @@ pub mod ax;
 pub mod cg;
 mod driver;
 
+pub use cmt_runtime::RuntimeConfig;
 pub use driver::{run, Config, NekboneReport};

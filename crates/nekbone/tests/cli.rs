@@ -1,6 +1,8 @@
-//! CLI-level checks of nekbone's `--variant` surface: these tests pin
-//! the parser and the usage string to the full variant set, including
-//! `simd` and `auto`, and reject spellings of removed tiers.
+//! CLI-level checks of the `nekbone` binary: every `--variant` spelling
+//! runs and `simd` reproduces the scalar run bit for bit; the flags
+//! shared with `cmt-bone` behave identically in both binaries (the
+//! parity checks of `runtime/tests/common/parity.rs`); a bad `--restart`
+//! directory is one clean line and exit 2.
 
 use std::process::Command;
 
@@ -47,28 +49,106 @@ fn every_variant_spelling_is_accepted_and_simd_matches_opt() {
     }
 }
 
+#[path = "../../runtime/tests/common/parity.rs"]
+mod parity;
+
+use cmt_resilience::{checkpoint_path, Checkpoint};
+
+const BIN: parity::Bin = parity::Bin {
+    exe: env!("CARGO_BIN_EXE_nekbone"),
+    base: &[
+        "--ranks", "2", "--n", "4", "--elems", "2", "--iters", "4", "--quiet",
+    ],
+    source: include_str!("../src/bin/nekbone.rs"),
+};
+
 #[test]
-fn unknown_variant_fails_with_usage_listing_all_tiers() {
-    // `batched` and `unroll` name tiers that no longer exist.
-    for v in ["avx512", "batched", "unroll"] {
-        let out = run_bin(&["--variant", v]);
-        assert_eq!(out.status.code(), Some(2), "--variant {v}: {out:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("basic|opt|spec|simd|auto"),
-            "usage does not list every variant:\n{err}"
-        );
-    }
+fn accepts_every_shared_flag() {
+    parity::accepts_every_shared_flag(&BIN, "nek_flags");
 }
 
 #[test]
-fn help_lists_simd_and_auto() {
-    let out = Command::new(env!("CARGO_BIN_EXE_nekbone"))
-        .arg("--help")
-        .output()
-        .expect("spawn nekbone");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("simd"), "help misses simd:\n{err}");
-    assert!(err.contains("auto"), "help misses auto:\n{err}");
+fn rejects_malformed_shared_values_with_usage() {
+    parity::rejects_malformed_values(&BIN);
+}
+
+#[test]
+fn help_prints_the_shared_usage_fragment() {
+    parity::help_prints_shared_fragment(&BIN);
+}
+
+#[test]
+fn doc_block_lists_exactly_the_help_flags() {
+    parity::doc_block_matches_help(&BIN);
+}
+
+/// A restart directory written by a checkpointing run of `BIN` plus
+/// `extra`.
+fn checkpoints(tag: &str, extra: &[&str]) -> std::path::PathBuf {
+    let dir = parity::scratch(tag);
+    let mut args = vec!["--checkpoint-every", "1", "--checkpoint-dir"];
+    args.push(dir.to_str().unwrap());
+    args.extend_from_slice(extra);
+    let out = BIN.run(&args);
+    assert!(out.status.success(), "{out:?}");
+    dir
+}
+
+#[test]
+fn restart_from_an_empty_directory_is_a_clean_error() {
+    let dir = parity::scratch("nek_empty");
+    let err = BIN.config_error(&["--restart", dir.to_str().unwrap()]);
+    assert!(
+        err.contains("rank 0") && err.contains("ckpt_rank0.cmtr"),
+        "{err}"
+    );
+}
+
+#[test]
+fn restart_from_a_truncated_checkpoint_is_a_clean_error() {
+    let dir = checkpoints("nek_trunc", &[]);
+    let path = checkpoint_path(&dir, 1);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    let err = BIN.config_error(&["--restart", dir.to_str().unwrap()]);
+    assert!(
+        err.contains("rank 1") && err.contains("ckpt_rank1.cmtr"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn restart_with_another_element_count_is_a_clean_error() {
+    let dir = checkpoints("nek_elems", &[]);
+    let err = BIN.config_error(&["--restart", dir.to_str().unwrap(), "--elems", "4"]);
+    assert!(
+        err.contains("rank 0") && err.contains("checkpoint field holds 128 values, run has 256"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn restart_from_a_cmt_bone_checkpoint_is_a_clean_error() {
+    // A CMT-bone state: one entry per field, no CG scalars.
+    let dir = parity::scratch("nek_bone");
+    for r in 0..2u64 {
+        let ckpt = Checkpoint {
+            rank: r,
+            step: 2,
+            stage: 0,
+            time: 0.1,
+            rng_state: 0,
+            scalars: Vec::new(),
+            fields: vec![vec![0.0; 4 * 4 * 4 * 2]; 2],
+        };
+        std::fs::write(checkpoint_path(&dir, r as usize), ckpt.encode()).unwrap();
+    }
+    let err = BIN.config_error(&["--restart", dir.to_str().unwrap()]);
+    assert!(
+        err.contains("rank 0") && err.contains("CG checkpoint holds x, r, p"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -32,6 +32,9 @@ pub mod profiler;
 /// cross-cutting machinery (checkpoint/restart, recovery) shows up under
 /// one name in every mini-app's Fig. 4-style profile.
 pub mod regions {
+    /// Setup phase of a rank program: gather–scatter discovery, the gs
+    /// method autotune (or the forced method), and the kernel autotune.
+    pub const SETUP: &str = "setup (gs_setup + autotune)";
     /// Checkpoint capture: encode solver state, replicate to the partner
     /// rank, optionally mirror to disk.
     pub const CHECKPOINT: &str = "checkpoint (encode + replicate)";

@@ -39,6 +39,6 @@ fn main() {
         "\n{} iterations, final residual {:.3e}, dssum via {}",
         rep.cg.iterations,
         rep.cg.final_residual(),
-        rep.chosen_method.name()
+        rep.runtime.chosen_method.name()
     );
 }

@@ -24,7 +24,10 @@ fn main() {
             steps: 10,
             fields: 5,
             method: Some(GsMethod::PairwiseExchange),
-            net: Some(NetworkModel::qdr_infiniband()),
+            runtime: cmt_bone::RuntimeConfig {
+                net: Some(NetworkModel::qdr_infiniband()),
+                ..Default::default()
+            },
             ..Default::default()
         });
         let pct = rep.comm.mpi_percent_per_rank();

@@ -20,7 +20,7 @@ fn cmt_bone_full_pipeline_all_methods() {
         });
         assert!(rep.checksum.is_finite(), "{method:?}");
         assert_eq!(rep.rank_wall_s.len(), 4);
-        assert_eq!(rep.chosen_method, method);
+        assert_eq!(rep.runtime.chosen_method, method);
         // fields stay bounded (the proxy loop is a stable DG advection)
         assert!(rep.checksum.abs() < 1e6, "{method:?}: {}", rep.checksum);
     }
@@ -147,8 +147,8 @@ fn fig7_pairing_runs_both_miniapps_on_identical_setup() {
         cg_iters: 1,
         ..Default::default()
     });
-    let bt = bone.autotune.expect("bone autotuned");
-    let nt = nek.autotune.expect("nek autotuned");
+    let bt = bone.runtime.autotune.expect("bone autotuned");
+    let nt = nek.runtime.autotune.expect("nek autotuned");
     assert_eq!(bone.mesh_summary, nek.mesh_summary, "setups must match");
     // The paper's unambiguous finding is that all_reduce loses; at this
     // tiny debug-build scale individual timings are noisy, so assert the
@@ -213,7 +213,10 @@ fn netmodel_orders_fabrics_consistently() {
             steps: 3,
             fields: 2,
             method: Some(GsMethod::PairwiseExchange),
-            net: Some(net),
+            runtime: cmt_bone::RuntimeConfig {
+                net: Some(net),
+                ..Default::default()
+            },
             ..Default::default()
         });
         rep.modeled_comm_s.iter().sum::<f64>()

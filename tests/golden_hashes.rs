@@ -86,10 +86,18 @@ fn every_tier_reproduces_its_golden_state_hash() {
 #[cfg_attr(miri, ignore)]
 fn autotuned_runs_land_on_the_golden_hash_of_their_winner() {
     let c = cmt_bone::run(&cmt_bone_case(KernelVariant::Optimized, true));
-    let tune = c.kernel_autotune.as_ref().expect("cmt-bone autotune ran");
+    let tune = c
+        .runtime
+        .kernel_autotune
+        .as_ref()
+        .expect("cmt-bone autotune ran");
     assert_eq!(c.state_hash, golden(tune.effective).0);
 
     let k = nekbone::run(&nekbone_case(KernelVariant::Optimized, true));
-    let tune = k.kernel_autotune.as_ref().expect("nekbone autotune ran");
+    let tune = k
+        .runtime
+        .kernel_autotune
+        .as_ref()
+        .expect("nekbone autotune ran");
     assert_eq!(k.state_hash, golden(tune.effective).1);
 }

@@ -2,7 +2,16 @@
 //! must leave both mini-apps bitwise identical to uninterrupted runs,
 //! and the on-disk checkpoint mirror must support cross-run restart.
 
+use cmt_bone::RuntimeConfig;
 use simmpi::FaultPlan;
+
+/// A run environment injecting `plan`.
+fn faults(plan: FaultPlan) -> RuntimeConfig {
+    RuntimeConfig {
+        fault_plan: Some(plan),
+        ..Default::default()
+    }
+}
 
 fn bone_cfg() -> cmt_bone::Config {
     cmt_bone::Config {
@@ -44,7 +53,7 @@ fn cmt_bone_kill_and_restart_is_bitwise_identical() {
     let base = bone_cfg();
     let clean = cmt_bone::run(&base);
     let faulty = cmt_bone::run(&cmt_bone::Config {
-        fault_plan: Some(FaultPlan::parse("kill:rank=2,step=5").unwrap()),
+        runtime: faults(FaultPlan::parse("kill:rank=2,step=5").unwrap()),
         ..base.clone()
     });
     assert_eq!(clean.checksum, faulty.checksum);
@@ -60,7 +69,7 @@ fn cmt_bone_survives_multiple_kills() {
     let clean = cmt_bone::run(&base);
     // two separate kills, including the same rank dying twice
     let faulty = cmt_bone::run(&cmt_bone::Config {
-        fault_plan: Some(FaultPlan::parse("kill:rank=1,step=3;kill:rank=1,step=6").unwrap()),
+        runtime: faults(FaultPlan::parse("kill:rank=1,step=3;kill:rank=1,step=6").unwrap()),
         ..base.clone()
     });
     assert_eq!(clean.state_hash, faulty.state_hash);
@@ -71,7 +80,7 @@ fn nekbone_kill_and_restart_is_bitwise_identical() {
     let base = nek_cfg();
     let clean = nekbone::run(&base);
     let faulty = nekbone::run(&nekbone::Config {
-        fault_plan: Some(FaultPlan::parse("kill:rank=3,step=8").unwrap()),
+        runtime: faults(FaultPlan::parse("kill:rank=3,step=8").unwrap()),
         ..base.clone()
     });
     assert_eq!(clean.checksum, faulty.checksum);
@@ -91,15 +100,20 @@ fn cmt_bone_disk_restart_resumes_to_identical_state() {
     // same run mirroring checkpoints to disk (the cadence traffic itself
     // must not change the physics)
     let mirrored = cmt_bone::run(&cmt_bone::Config {
-        checkpoint_dir: Some(dir.clone()),
+        runtime: RuntimeConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..Default::default()
+        },
         ..base.clone()
     });
     assert_eq!(full.state_hash, mirrored.state_hash);
     // restart from the last on-disk checkpoint (step 6 of 8) and run the
     // remaining steps: the final state must match the full run bitwise
     let resumed = cmt_bone::run(&cmt_bone::Config {
-        restart_from: Some(dir.clone()),
-        checkpoint_dir: None,
+        runtime: RuntimeConfig {
+            restart_from: Some(dir.clone()),
+            ..Default::default()
+        },
         ..base.clone()
     });
     assert_eq!(
@@ -115,13 +129,18 @@ fn nekbone_disk_restart_resumes_to_identical_state() {
     let base = nek_cfg();
     let full = nekbone::run(&base);
     let mirrored = nekbone::run(&nekbone::Config {
-        checkpoint_dir: Some(dir.clone()),
+        runtime: RuntimeConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..Default::default()
+        },
         ..base.clone()
     });
     assert_eq!(full.state_hash, mirrored.state_hash);
     let resumed = nekbone::run(&nekbone::Config {
-        restart_from: Some(dir.clone()),
-        checkpoint_dir: None,
+        runtime: RuntimeConfig {
+            restart_from: Some(dir.clone()),
+            ..Default::default()
+        },
         ..base.clone()
     });
     assert_eq!(
@@ -142,11 +161,11 @@ fn message_hazards_with_kills_still_converge_identically() {
     let base = bone_cfg();
     let hazards = "delay:prob=0.05,us=40;drop:prob=0.05,us=80,retries=3;seed=23";
     let clean = cmt_bone::run(&cmt_bone::Config {
-        fault_plan: Some(FaultPlan::parse(hazards).unwrap()),
+        runtime: faults(FaultPlan::parse(hazards).unwrap()),
         ..base.clone()
     });
     let killed = cmt_bone::run(&cmt_bone::Config {
-        fault_plan: Some(FaultPlan::parse(&format!("{hazards};kill:rank=2,step=5")).unwrap()),
+        runtime: faults(FaultPlan::parse(&format!("{hazards};kill:rank=2,step=5")).unwrap()),
         ..base.clone()
     });
     assert_eq!(clean.state_hash, killed.state_hash);

@@ -3,7 +3,16 @@
 //! perturbation, and the checked run must stay bitwise identical to the
 //! unchecked one.
 
+use cmt_bone::RuntimeConfig;
 use cmt_gs::GsMethod;
+
+fn verified(chaos_sched: Option<u64>) -> RuntimeConfig {
+    RuntimeConfig {
+        verify: true,
+        chaos_sched,
+        ..Default::default()
+    }
+}
 
 fn bone_cfg() -> cmt_bone::Config {
     cmt_bone::Config {
@@ -32,12 +41,15 @@ fn nek_cfg() -> nekbone::Config {
 #[test]
 fn cmt_bone_8_ranks_verifies_clean() {
     let plain = cmt_bone::run(&bone_cfg());
-    assert!(plain.verify.is_none(), "verification must default to off");
+    assert!(
+        plain.runtime.verify.is_none(),
+        "verification must default to off"
+    );
     let checked = cmt_bone::run(&cmt_bone::Config {
-        verify: true,
+        runtime: verified(None),
         ..bone_cfg()
     });
-    let findings = checked.verify.as_deref().expect("verification ran");
+    let findings = checked.runtime.verify.as_deref().expect("verification ran");
     assert!(
         findings.is_empty(),
         "{}",
@@ -49,6 +61,7 @@ fn cmt_bone_8_ranks_verifies_clean() {
     // The report surfaces the clean bill and the finalize-sweep region.
     assert!(checked.render().contains("cmt-verify: clean (0 findings)"));
     assert!(checked
+        .runtime
         .profile
         .flat
         .iter()
@@ -61,10 +74,10 @@ fn cmt_bone_autotuned_run_verifies_clean() {
     // are where unmatched traffic would hide) plus the timing collectives.
     let checked = cmt_bone::run(&cmt_bone::Config {
         method: None,
-        verify: true,
+        runtime: verified(None),
         ..bone_cfg()
     });
-    let findings = checked.verify.as_deref().expect("verification ran");
+    let findings = checked.runtime.verify.as_deref().expect("verification ran");
     assert!(
         findings.is_empty(),
         "{}",
@@ -77,8 +90,7 @@ fn cmt_bone_chaos_sched_is_deterministic_and_clean() {
     let reference = cmt_bone::run(&bone_cfg());
     for seed in [3u64, 77] {
         let perturbed = cmt_bone::run(&cmt_bone::Config {
-            verify: true,
-            chaos_sched: Some(seed),
+            runtime: verified(Some(seed)),
             ..bone_cfg()
         });
         assert_eq!(
@@ -86,7 +98,11 @@ fn cmt_bone_chaos_sched_is_deterministic_and_clean() {
             "chaos seed {seed} changed the final state"
         );
         assert_eq!(reference.checksum, perturbed.checksum);
-        let findings = perturbed.verify.as_deref().expect("verification ran");
+        let findings = perturbed
+            .runtime
+            .verify
+            .as_deref()
+            .expect("verification ran");
         assert!(
             findings.is_empty(),
             "seed {seed}: {}",
@@ -105,17 +121,18 @@ fn cmt_bone_pooled_buffers_are_not_message_leaks() {
     for method in GsMethod::ALL {
         let cfg = cmt_bone::Config {
             method: Some(method),
-            verify: true,
-            chaos_sched: Some(11),
+            runtime: verified(Some(11)),
             ..bone_cfg()
         };
-        let pooled = cmt_bone::run(&cmt_bone::Config {
-            pool: true,
-            ..cfg.clone()
-        });
-        let fresh = cmt_bone::run(&cmt_bone::Config { pool: false, ..cfg });
+        let with_pool = |pool| {
+            let mut c = cfg.clone();
+            c.runtime.pool = pool;
+            cmt_bone::run(&c)
+        };
+        let pooled = with_pool(true);
+        let fresh = with_pool(false);
         for (label, run) in [("pool", &pooled), ("no-pool", &fresh)] {
-            let findings = run.verify.as_deref().expect("verification ran");
+            let findings = run.runtime.verify.as_deref().expect("verification ran");
             assert!(
                 findings.is_empty(),
                 "{method:?}/{label}: {}",
@@ -133,12 +150,15 @@ fn cmt_bone_pooled_buffers_are_not_message_leaks() {
 #[test]
 fn nekbone_8_ranks_verifies_clean() {
     let plain = nekbone::run(&nek_cfg());
-    assert!(plain.verify.is_none(), "verification must default to off");
+    assert!(
+        plain.runtime.verify.is_none(),
+        "verification must default to off"
+    );
     let checked = nekbone::run(&nekbone::Config {
-        verify: true,
+        runtime: verified(None),
         ..nek_cfg()
     });
-    let findings = checked.verify.as_deref().expect("verification ran");
+    let findings = checked.runtime.verify.as_deref().expect("verification ran");
     assert!(
         findings.is_empty(),
         "{}",
@@ -153,12 +173,15 @@ fn nekbone_8_ranks_verifies_clean() {
 fn nekbone_chaos_sched_is_deterministic_and_clean() {
     let reference = nekbone::run(&nek_cfg());
     let perturbed = nekbone::run(&nekbone::Config {
-        verify: true,
-        chaos_sched: Some(42),
+        runtime: verified(Some(42)),
         ..nek_cfg()
     });
     assert_eq!(reference.state_hash, perturbed.state_hash);
-    let findings = perturbed.verify.as_deref().expect("verification ran");
+    let findings = perturbed
+        .runtime
+        .verify
+        .as_deref()
+        .expect("verification ran");
     assert!(
         findings.is_empty(),
         "{}",
